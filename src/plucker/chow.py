@@ -17,6 +17,10 @@ monomial basis x_0^{i_0} ... x_{d-1}^{i_{d-1}}, 0 <= i_l <= rank-l-1.
 Push-forward to the base is coefficient extraction on the top basis
 monomial, which is what makes the flag ring a brute-force oracle for
 every closed formula in this package.
+
+Coefficients are exact: Python ints wherever they are integral (every
+formal and split bundle), ``Fraction`` only where the input brings a
+denominator (rational Segre classes).  Nothing in this module divides.
 """
 
 from __future__ import annotations
@@ -26,14 +30,25 @@ from fractions import Fraction
 
 from .exact import LaurentPoly, _tadd
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+_ZERO = 0
+_ONE = 1
 
 POINT = "point"
 PROJECTIVE = "projective"
 FORMAL = "formal"
 
 _FAMILY_PREFIXES = ("s", "u", "v", "w")
+
+
+def _accumulate(out, key, value):
+    """Add ``value`` into ``out[key]``, dropping the key when the sum is zero."""
+    have = out.get(key)
+    if have is not None:
+        value = have + value
+    if value:
+        out[key] = value
+    else:
+        out.pop(key, None)
 
 
 class BaseModel:
@@ -77,6 +92,8 @@ class BaseModel:
 
     def scalar(self, value) -> "GradedElement":
         value = Fraction(value)
+        if value.denominator == 1:
+            value = value.numerator
         if not value:
             return GradedElement(self, {})
         return GradedElement(self, {(0,) * len(self.gen_names): value})
@@ -344,6 +361,14 @@ def chern_from_segre(segre, n: int):
     return [c if i % 2 == 0 else -c for i, c in enumerate(signed)]
 
 
+def _integer_root(a) -> int:
+    if isinstance(a, Fraction) and a.denominator == 1:
+        return a.numerator
+    if not isinstance(a, int):
+        raise ValueError(f"chern root {a!r} is not an integer")
+    return a
+
+
 class BundleModel:
     """A vector bundle presented by rank and Segre classes.
 
@@ -405,7 +430,7 @@ class BundleModel:
         (or a point, where every root acts as 0)."""
         if base.kind == FORMAL:
             raise ValueError("chern roots require a concrete base model")
-        roots = [int(a) for a in roots]
+        roots = [_integer_root(a) for a in roots]
         rank = len(roots)
         if rank < 1:
             raise ValueError("need at least one root")
@@ -476,24 +501,18 @@ class FlagRing:
     module over the base with basis x_0^{i_0} ... x_{d-1}^{i_{d-1}},
     0 <= i_l <= rank-l-1.
 
-    The reduction rule for x_l^{rank-l} comes from the vanishing of the
-    Chern polynomial of the l-th kernel bundle, whose Chern classes are
-    obtained by truncated series division; they only involve x_0..x_{l-1},
-    so rules are built in increasing l and reduction terminates.  All rule
-    tables are precomputed at construction; instances are immutable and
-    safe to share.
+    The relation for x_l^{rank-l} comes from the vanishing of the Chern
+    polynomial of the l-th kernel bundle, whose Chern classes are
+    obtained by truncated series division; they only involve
+    x_0..x_{l-1}.  Every normal form is built from one step, multiplying
+    a basis monomial by some x_l: below the bound of x_l that is an
+    exponent shift, and at the bound it reads a table entry (see
+    :meth:`_xi_entry`), filled on first use.  The level-l relations are
+    the table's first entries, built at construction.  Instances are
+    immutable apart from these caches and safe to share.
     """
 
-    __slots__ = (
-        "bundle",
-        "d",
-        "bounds",
-        "_rules",
-        "_rule_top",
-        "_xi_basis",
-        "_theta_chain",
-        "_lock",
-    )
+    __slots__ = ("bundle", "d", "bounds", "_xi_basis", "_theta_chain", "_lock")
 
     def __init__(self, bundle: BundleModel, d: int):
         rank = bundle.rank
@@ -502,12 +521,11 @@ class FlagRing:
         self.bundle = bundle
         self.d = d
         self.bounds = tuple(rank - l - 1 for l in range(d))
-        self._rules = {}
-        self._rule_top = {}
+        # (l, basis monomial with x_l at its bound) -> normal form of its product with x_l
         self._xi_basis = {}
-        # reentrant: cache fills recurse through _normalize
+        # reentrant: filling an entry multiplies by lower generators, which
+        # may fill their own entries
         self._lock = threading.RLock()
-        base = bundle.base
         zero_key = (0,) * d
         # Chern classes of the successive kernels, as normal-form term maps.
         kernel = [
@@ -518,169 +536,92 @@ class FlagRing:
             # rule: x_l^{rank-l} = sum_{j>=1} (-1)^(j+1) c_j(kernel_l) x_l^{rank-l-j}
             rule = {}
             for j in range(1, rank - l + 1):
-                cj = kernel[j]
-                if not cj:
-                    continue
-                sign = _ONE if j % 2 == 1 else -_ONE
-                for exps, coeff in cj.items():
+                for exps, coeff in kernel[j].items():
                     key = list(exps)
                     key[l] += rank - l - j
-                    key = tuple(key)
-                    acc = rule.get(key, base.zero()) + coeff * sign
-                    if acc:
-                        rule[key] = acc
-                    else:
-                        rule.pop(key, None)
-            self._rules[(l, rank - l)] = rule
-            self._rule_top[l] = rank - l
+                    _accumulate(rule, tuple(key), coeff if j % 2 else -coeff)
+            at_bound = [0] * d
+            at_bound[l] = rank - l - 1
+            self._xi_basis[(l, tuple(at_bound))] = rule
             if l + 1 < d:
                 # divide the Chern series by (1 + x_l t) to reach the next kernel
                 nxt = [kernel[0]]
                 for j in range(1, rank - l):
-                    shifted = self._shift(nxt[j - 1], l)
-                    nxt.append(self._normalize(self._sub(kernel[j], shifted)))
+                    step = dict(kernel[j])
+                    for exps, coeff in self._times_x(nxt[j - 1], l).items():
+                        _accumulate(step, exps, -coeff)
+                    nxt.append(step)
                 kernel = nxt + [{}] * (l + 2)
         self._theta_chain = None
 
-    # -- term-map helpers ------------------------------------------------
+    # -- normal forms ----------------------------------------------------
 
-    @staticmethod
-    def _shift(terms, l, amount=1):
-        out = {}
-        for exps, coeff in terms.items():
-            key = list(exps)
-            key[l] += amount
-            out[tuple(key)] = coeff
-        return out
+    def _xi_entry(self, l, exps):
+        """Normal form of x^exps * x_l for a basis monomial whose x_l
+        exponent is at its bound, cached.
 
-    @staticmethod
-    def _sub(a, b):
-        out = dict(a)
-        for exps, coeff in b.items():
-            have = out.get(exps)
-            acc = -coeff if have is None else have - coeff
-            if acc:
-                out[exps] = acc
-            else:
-                out.pop(exps, None)
-        return out
-
-    def _power_rule(self, l, p):
-        """Normal form of x_l^p as a term map, for p past the basis bound."""
-        got = self._rules.get((l, p))
+        Without lower generators the entry is the level-l rule with the
+        exponents above l carried over.  Otherwise it is the entry of the
+        monomial with its lowest nonzero generator x_j taken off, times
+        x_j; that chain is walked down to a cached entry and built back
+        up, caching each step.
+        """
+        table = self._xi_basis
+        got = table.get((l, exps))
         if got is not None:
             return got
         with self._lock:
-            top = self._rule_top[l]
-            while top < p:
-                nxt = self._normalize(self._shift(self._rules[(l, top)], l))
-                top += 1
-                self._rules[(l, top)] = nxt
-            self._rule_top[l] = top
-        return self._rules[(l, p)]
+            taken = []
+            while (l, exps) not in table:
+                j = next((i for i in range(l) if exps[i]), None)
+                if j is None:
+                    rule = table[(l, exps[: l + 1] + (0,) * (self.d - l - 1))]
+                    upper = (0,) * (l + 1) + exps[l + 1 :]
+                    table[(l, exps)] = {_tadd(e, upper): c for e, c in rule.items()}
+                    break
+                taken.append(j)
+                exps = exps[:j] + (exps[j] - 1,) + exps[j + 1 :]
+            got = table[(l, exps)]
+            for j in reversed(taken):
+                exps = exps[:j] + (exps[j] + 1,) + exps[j + 1 :]
+                got = table[(l, exps)] = self._times_x(got, j)
+        return got
+
+    def _times_x(self, terms, l, out=None):
+        """Normal form of (normal-form term map) * x_l, added into ``out``.
+        Below the bound of x_l the product is an exponent shift."""
+        if out is None:
+            out = {}
+        bound = self.bounds[l]
+        for exps, coeff in terms.items():
+            if exps[l] < bound:
+                _accumulate(out, exps[:l] + (exps[l] + 1,) + exps[l + 1 :], coeff)
+            else:
+                for rexps, rcoeff in self._xi_entry(l, exps).items():
+                    _accumulate(out, rexps, coeff * rcoeff)
+        return out
 
     def _normalize(self, raw):
-        """Rewrite a term map into the free-module basis."""
+        """Rewrite a term map into the free-module basis: each monomial
+        starts from its in-bounds part and is multiplied by its excess
+        powers of x_l one at a time."""
         bounds = self.bounds
-        d = self.d
         out = {}
-        stack = list(raw.items())
-        while stack:
-            exps, coeff = stack.pop()
-            if not coeff:
-                continue
-            excess = -1
-            for l in range(d - 1, -1, -1):
-                if exps[l] > bounds[l]:
-                    excess = l
-                    break
-            if excess < 0:
-                have = out.get(exps)
-                acc = coeff if have is None else have + coeff
-                if acc:
-                    out[exps] = acc
-                else:
-                    out.pop(exps, None)
-                continue
-            rule = self._power_rule(excess, exps[excess])
-            rest = list(exps)
-            rest[excess] = 0
-            rest = tuple(rest)
-            for rexps, rcoeff in rule.items():
-                stack.append((_tadd(rest, rexps), coeff * rcoeff))
+        for exps, coeff in raw.items():
+            acc = {tuple(map(min, exps, bounds)): coeff}
+            for l in range(self.d - 1, -1, -1):
+                for _ in range(exps[l] - bounds[l]):
+                    acc = self._times_x(acc, l)
+            for nexps, ncoeff in acc.items():
+                _accumulate(out, nexps, ncoeff)
         return out
 
     def _mul_terms(self, a, b):
-        # accumulate raw {generator exps: Fraction} slots per flag
-        # monomial, wrapping into ring elements only once at the end
-        model = self.bundle.base
-        bound = model.n
-        deg = model._degree
-        slots = {}
-        for e1, c1 in a.items():
-            lhs = [(g1, deg(g1), q1) for g1, q1 in c1.terms.items()]
-            for e2, c2 in b.items():
-                key = _tadd(e1, e2)
-                slot = slots.get(key)
-                if slot is None:
-                    slot = slots[key] = {}
-                for g1, d1, q1 in lhs:
-                    for g2, q2 in c2.terms.items():
-                        if d1 + deg(g2) > bound:
-                            continue
-                        gkey = _tadd(g1, g2)
-                        acc = slot.get(gkey, _ZERO) + q1 * q2
-                        if acc:
-                            slot[gkey] = acc
-                        else:
-                            del slot[gkey]
         raw = {}
-        for key, slot in slots.items():
-            if slot:
-                value = GradedElement(model)
-                value.terms = slot
-                raw[key] = value
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
+                _accumulate(raw, _tadd(e1, e2), c1 * c2)
         return self._normalize(raw)
-
-    def _xi_times_basis(self, l, exps):
-        """Normal form of (basis monomial exps) * x_l, cached; the staple
-        of the theta-power chain."""
-        key = (l, exps)
-        cached = self._xi_basis.get(key)
-        if cached is None:
-            with self._lock:
-                cached = self._xi_basis.get(key)
-                if cached is None:
-                    shifted = list(exps)
-                    shifted[l] += 1
-                    cached = self._normalize({tuple(shifted): self.bundle.base.one()})
-                    self._xi_basis[key] = cached
-        return cached
-
-    def _monomial_terms(self, exps, coeff):
-        """Normal form of coeff * x^exps, applying the cached
-        multiply-by-x_l basis maps one generator at a time.  The
-        accumulator never leaves the free-module basis, so nothing
-        cascades."""
-        acc = {(0,) * self.d: coeff}
-        for l in range(self.d - 1, -1, -1):
-            for _ in range(exps[l]):
-                nxt = {}
-                for e, c in acc.items():
-                    for bexps, bcoeff in self._xi_times_basis(l, e).items():
-                        prod = c * bcoeff
-                        if not prod:
-                            continue
-                        have = nxt.get(bexps)
-                        total = prod if have is None else have + prod
-                        if total:
-                            nxt[bexps] = total
-                        else:
-                            nxt.pop(bexps, None)
-                acc = nxt
-                if not acc:
-                    return acc
-        return acc
 
     # -- public API ------------------------------------------------------
 
@@ -718,23 +659,15 @@ class FlagRing:
         return acc
 
     def from_terms(self, terms) -> "FlagRingElement":
-        out = {}
+        raw = {}
         for exps, coeff in terms.items():
             exps = tuple(exps)
             if any(e < 0 for e in exps):
                 raise ValueError("flag-ring monomials need nonnegative exponents")
             if isinstance(coeff, (int, Fraction)):
                 coeff = self.bundle.base.scalar(coeff)
-            if not coeff:
-                continue
-            for nexps, ncoeff in self._monomial_terms(exps, coeff).items():
-                have = out.get(nexps)
-                acc = ncoeff if have is None else have + ncoeff
-                if acc:
-                    out[nexps] = acc
-                else:
-                    out.pop(nexps, None)
-        return FlagRingElement(self, out)
+            _accumulate(raw, exps, coeff)
+        return FlagRingElement(self, self._normalize(raw))
 
     def evaluate_poly(self, poly: LaurentPoly) -> "FlagRingElement":
         """Evaluate a polynomial in d variables at (x_0, ..., x_{d-1})."""
@@ -764,24 +697,12 @@ class FlagRing:
         with self._lock:
             if self._theta_chain is None:
                 staircase = tuple(self.d - 1 - i for i in range(self.d))
-                seed = {staircase: self.bundle.base.one()}
-                self._theta_chain = [self._normalize(seed)]
+                self._theta_chain = [{staircase: self.bundle.base.one()}]
             chain = self._theta_chain
             while len(chain) <= N:
-                prev = chain[-1]
                 out = {}
-                for exps, coeff in prev.items():
-                    for l in range(self.d):
-                        for bexps, bcoeff in self._xi_times_basis(l, exps).items():
-                            prod = coeff * bcoeff
-                            if not prod:
-                                continue
-                            have = out.get(bexps)
-                            acc = prod if have is None else have + prod
-                            if acc:
-                                out[bexps] = acc
-                            else:
-                                out.pop(bexps, None)
+                for l in range(self.d):
+                    self._times_x(chain[-1], l, out)
                 chain.append(out)
         top = self.top_monomial
         value = chain[N].get(top)

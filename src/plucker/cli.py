@@ -37,6 +37,13 @@ from .pushforward import (
 from . import verify as verify_mod
 
 
+# Largest Grassmann-bundle dimension d(r-d)+n the degree command accepts.
+# Over a point the degree at this size has about 3300 digits, within the
+# interpreter's default limit of 4300 for printing an integer, and takes
+# milliseconds; at d(r-d) = 10^6 the closed sum alone runs for minutes.
+MAX_DEGREE_DIMENSION = 2500
+
+
 class ConfigError(Exception):
     """Malformed job configuration; the message names the offending field."""
 
@@ -46,6 +53,18 @@ def _parse_int(field, raw):
         return int(str(raw).strip())
     except (TypeError, ValueError):
         raise ConfigError(f"{field}: expected an integer, got {raw!r}") from None
+
+
+def _get_int(merged, key, default=None, minimum=None):
+    """Integer option ``key``, or ``default`` when it is not given; a
+    given value below ``minimum`` is refused, zero included."""
+    raw = merged.get(key)
+    if raw is None:
+        return default
+    value = _parse_int(key, raw)
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{key}: must be at least {minimum}, got {value}")
+    return value
 
 
 def _parse_fraction(field, raw):
@@ -123,19 +142,15 @@ def build_base(merged: dict):
         return point()
     if kind.startswith("p") and kind[1:].isdigit():
         return projective_space(int(kind[1:]))
-    dim = merged.get("base.dim")
+    dim = _get_int(merged, "base.dim", minimum=0)
     if kind in ("projective", "projective-space"):
         if dim is None:
             raise ConfigError("base.dim: required for a projective-space base")
-        return projective_space(_parse_int("base.dim", dim))
+        return projective_space(dim)
     if kind == "formal":
-        if dim is not None:
-            n = _parse_int("base.dim", dim)
-        else:
-            trunc = merged.get("options.truncation")
-            n = _parse_int("options.truncation", trunc) if trunc is not None else 3
-        families = _parse_int("base.families", merged.get("base.families") or 1)
-        return formal_segre(n, families)
+        if dim is None:
+            dim = _get_int(merged, "options.truncation", 3, minimum=0)
+        return formal_segre(dim, _get_int(merged, "base.families", 1, minimum=1))
     raise ConfigError(f"base.kind: unknown kind {kind!r}")
 
 
@@ -170,7 +185,7 @@ def build_bundle(base, merged: dict):
     if wants_formal:
         if base.kind != FORMAL:
             raise ConfigError("bundle.formal: needs a formal base model")
-        family = _parse_int("bundle.family", merged.get("bundle.family") or 0)
+        family = _get_int(merged, "bundle.family", 0)
         try:
             return BundleModel.formal(base, rank, family)
         except ValueError as err:
@@ -255,6 +270,12 @@ def cmd_degree(merged) -> int:
     base = build_base(merged)
     bundle = build_bundle(base, merged)
     d = _get_d(merged, bundle.rank)
+    dim = d * (bundle.rank - d) + base.n
+    if dim > MAX_DEGREE_DIMENSION:
+        raise ConfigError(
+            f"options.d: the Grassmann bundle has dimension d(r-d)+n = {dim}, "
+            f"above the limit {MAX_DEGREE_DIMENSION} of the degree command"
+        )
     denominator = _get_denominator(merged)
     fmt = _get_format(merged)
     try:
@@ -353,23 +374,21 @@ def _print_results(results, fmt) -> int:
 
 def cmd_verify(merged) -> int:
     fmt = _get_format(merged)
-    max_rank = _parse_int("options.max-rank", merged.get("options.max-rank") or
-                          verify_mod.DEFAULT_MAX_RANK)
-    truncation = _parse_int("options.truncation", merged.get("options.truncation") or
-                            verify_mod.DEFAULT_TRUNCATION)
-    seed = _parse_int("options.seed", merged.get("options.seed") or 11)
-    jobs_raw = merged.get("options.jobs")
-    jobs = _parse_int("options.jobs", jobs_raw) if jobs_raw is not None else None
+    max_rank = _get_int(merged, "options.max-rank", verify_mod.DEFAULT_MAX_RANK, minimum=1)
+    truncation = _get_int(merged, "options.truncation", verify_mod.DEFAULT_TRUNCATION,
+                          minimum=0)
+    seed = _get_int(merged, "options.seed", 11)
+    jobs = _get_int(merged, "options.jobs", minimum=1)
     results = verify_mod.run_all(max_rank, truncation, seed=seed, max_workers=jobs)
     return _print_results(results, fmt)
 
 
 def cmd_identity_check(merged) -> int:
     fmt = _get_format(merged)
-    seed = _parse_int("options.seed", merged.get("options.seed") or 11)
-    trials = _parse_int("options.trials", merged.get("options.trials") or 100)
-    truncation = _parse_int("options.truncation", merged.get("options.truncation") or
-                            verify_mod.DEFAULT_TRUNCATION)
+    seed = _get_int(merged, "options.seed", 11)
+    trials = _get_int(merged, "options.trials", 100, minimum=1)
+    truncation = _get_int(merged, "options.truncation", verify_mod.DEFAULT_TRUNCATION,
+                          minimum=0)
     results = []
     results.extend(verify_mod.run_phi_suite(seed=seed))
     results.extend(

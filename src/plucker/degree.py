@@ -16,7 +16,8 @@ from fractions import Fraction
 from math import factorial
 
 from .chow import FORMAL, integrate
-from .pushforward import PROOF, _compositions_up_to, closed_term_coefficient
+from .exact import exponent_vectors
+from .pushforward import PROOF, closed_term_coefficient
 from .symfunc import syt_count
 
 
@@ -57,7 +58,7 @@ def plucker_degree(bundle, d: int, denominator: str = PROOF) -> DegreeResult:
     scale = Fraction(factorial(d * (r - d) + n))
     breakdown = []
     total = Fraction(0)
-    for k in _compositions_up_to(d, n):
+    for k in exponent_vectors(d, max_total=n):
         if sum(k) != n:
             continue
         coeff = closed_term_coefficient(k, r, denominator)

@@ -47,6 +47,31 @@ def perm_sign(perm) -> int:
     return sign
 
 
+def exponent_vectors(length: int, *, max_entry=None, max_total=None):
+    """Nonnegative integer vectors of the given length, each entry at
+    most ``max_entry`` and the entries summing to at most ``max_total``
+    (give one bound or both, nonnegative), in lexicographic order.
+    Iterative, so the length is not bounded by the recursion limit."""
+    if max_entry is None:
+        max_entry = max_total
+    if max_total is None:
+        max_total = length * max_entry
+    vec = [0] * length
+    total = 0
+    while True:
+        yield tuple(vec)
+        # odometer: bump the last entry that may grow, zeroing those after it
+        i = length - 1
+        while i >= 0 and (vec[i] == max_entry or total == max_total):
+            total -= vec[i]
+            vec[i] = 0
+            i -= 1
+        if i < 0:
+            return
+        vec[i] += 1
+        total += 1
+
+
 def _tadd(a, b):
     return tuple(map(_add, a, b))
 

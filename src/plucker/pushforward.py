@@ -25,7 +25,7 @@ from fractions import Fraction
 from math import factorial
 
 from .chow import FlagRing, GradedElement
-from .exact import LaurentPoly, const_of_product, det, inv_factorial, vandermonde
+from .exact import LaurentPoly, const_of_product, det, exponent_vectors, inv_factorial, vandermonde
 from .symfunc import partitions_up_to, schur_delta, segre_series_poly, syt_count, weight
 
 _ZERO = Fraction(0)
@@ -188,15 +188,6 @@ class PushforwardSeries:
         return f"<pushforward ch by {self.method}: {rows}>"
 
 
-def _compositions_up_to(length: int, total: int):
-    if length == 0:
-        yield ()
-        return
-    for first in range(total + 1):
-        for rest in _compositions_up_to(length - 1, total - first):
-            yield (first,) + rest
-
-
 def closed_term_coefficient(k, r: int, denominator: str = PROOF) -> Fraction:
     """The rational weight of prod s_{k_i}(E) in the closed formula.
 
@@ -230,7 +221,7 @@ def ch_pushforward_closed(bundle, d: int, denominator: str = PROOF) -> Pushforwa
         raise ValueError("need 1 <= d <= rank")
     n = bundle.base.n
     comps = {m: bundle.base.zero() for m in range(n + 1)}
-    for k in _compositions_up_to(d, n):
+    for k in exponent_vectors(d, max_total=n):
         coeff = closed_term_coefficient(k, r, denominator)
         if not coeff:
             continue
@@ -278,10 +269,15 @@ def ch_pushforward_constterm(bundle, d: int) -> PushforwardSeries:
     return PushforwardSeries(bundle, d, "constterm", comps)
 
 
-def ch_pushforward_oracle(bundle, d: int) -> PushforwardSeries:
+def ch_pushforward_oracle(bundle, d: int, ring=None) -> PushforwardSeries:
     """Oracle route: push theta powers forward in the flag ring and divide
-    by N!.  Independent of all three formula routes."""
-    ring = FlagRing(bundle, d)
+    by N!.  Independent of all three formula routes.  ``ring`` may be an
+    already-built flag ring of the same bundle and corank, whose cached
+    theta chain is then shared with the caller."""
+    if ring is None:
+        ring = FlagRing(bundle, d)
+    elif ring.bundle is not bundle or ring.d != d:
+        raise ValueError("the flag ring belongs to another bundle or corank")
     rel = d * (bundle.rank - d)
     n = bundle.base.n
     comps = {

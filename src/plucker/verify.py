@@ -18,7 +18,7 @@ from itertools import permutations
 
 from .chow import BundleModel, FlagRing, formal_segre, point, projective_space
 from .degree import fiber_degree_hook, plucker_degree
-from .exact import LaurentPoly, perm_sign
+from .exact import LaurentPoly, exponent_vectors, perm_sign
 from .pushforward import (
     DISPLAYED,
     PROOF,
@@ -85,7 +85,8 @@ def check_fourway(bundle, d: int) -> CaseResult:
     closed = ch_pushforward_closed(bundle, d, PROOF)
     schur = ch_pushforward_schur(bundle, d)
     constterm = ch_pushforward_constterm(bundle, d)
-    oracle = ch_pushforward_oracle(bundle, d)
+    ring = FlagRing(bundle, d)
+    oracle = ch_pushforward_oracle(bundle, d, ring)
     n = bundle.base.n
     rel = d * (bundle.rank - d)
     for other in (schur, constterm, oracle):
@@ -97,7 +98,6 @@ def check_fourway(bundle, d: int) -> CaseResult:
                     f"component {m}: closed={closed.component(m)!r} "
                     f"{other.method}={other.component(m)!r}",
                 )
-    ring = FlagRing(bundle, d)
     for N in range(rel):
         if ring.pushforward_theta_power(N):
             return CaseResult(key, False, f"theta^{N} pushed forward is nonzero")
@@ -194,7 +194,7 @@ def run_phi_suite(seed: int = 7, antisym_trials: int = 200, shift_trials: int = 
 
     def grid_case():
         for d in range(1, max_d + 1):
-            for k in _exponent_grid(d, max_power):
+            for k in exponent_vectors(d, max_entry=max_power):
                 if phi(LaurentPoly.monomial(d, k), d) != phi_eval_monomial(k):
                     return CaseResult(
                         "phi closed form on monomial grid", False, f"k={k}"
@@ -238,15 +238,6 @@ def run_phi_suite(seed: int = 7, antisym_trials: int = 200, shift_trials: int = 
             break
     results.append(CaseResult(f"phi Schur shift ({shift_trials} random symmetric cases)", ok, detail))
     return results
-
-
-def _exponent_grid(d, max_power):
-    if d == 0:
-        yield ()
-        return
-    for head in range(max_power + 1):
-        for rest in _exponent_grid(d - 1, max_power):
-            yield (head,) + rest
 
 
 def run_identity_suite(

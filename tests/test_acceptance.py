@@ -11,7 +11,7 @@ from math import factorial
 
 from plucker.chow import BundleModel, FlagRing, formal_segre, point, projective_space
 from plucker.degree import fiber_degree_hook, plucker_degree
-from plucker.exact import LaurentPoly
+from plucker.exact import LaurentPoly, exponent_vectors
 from plucker.pushforward import (
     DISPLAYED,
     PROOF,
@@ -108,7 +108,7 @@ def test_criterion_5_phi_suite():
     for d in range(1, 5):
         if not ok:
             break
-        for k in _grid(d, 8):
+        for k in exponent_vectors(d, max_entry=8):
             if phi(LaurentPoly.monomial(d, k), d) != phi_eval_monomial(k):
                 ok = False
                 detail = f"monomial grid k={k}"
@@ -126,15 +126,6 @@ def test_criterion_5_phi_suite():
         ok,
         detail,
     )
-
-
-def _grid(d, bound):
-    if d == 0:
-        yield ()
-        return
-    for head in range(bound + 1):
-        for rest in _grid(d - 1, bound):
-            yield (head,) + rest
 
 
 def test_criterion_6_identity_suite():

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,8 @@ from plucker.chow import (
     segre_from_chern,
 )
 from plucker.exact import LaurentPoly, const_term
+from plucker.pushforward import ALL_METHODS, ch_pushforward, monomial_pushforward_det
+from plucker.verify import check_fourway
 
 
 @pytest.fixture
@@ -151,6 +154,16 @@ class TestBundles:
     def test_inhomogeneous_segre_rejected(self, p1):
         with pytest.raises(ValueError):
             BundleModel.from_segre(p1, 2, [p1.one(), p1.one()])
+
+    @pytest.mark.parametrize("root", [1.7, 2.0, Fraction(17, 10), "1"])
+    def test_non_integer_root_rejected(self, p1, root):
+        with pytest.raises(ValueError, match="not an integer"):
+            BundleModel.from_chern_roots(p1, [1, root])
+
+    def test_integral_fraction_root_accepted(self, p1):
+        E = BundleModel.from_chern_roots(p1, [Fraction(3), 1])
+        assert E.chern_roots == (3, 1)
+        assert E.segre == BundleModel.from_chern_roots(p1, [3, 1]).segre
 
     def test_inhomogeneous_chern_rejected(self, p1):
         with pytest.raises(ValueError):
@@ -330,3 +343,95 @@ def test_flag_product_reduction_random(data):
     for exps in elem.terms:
         assert all(exps[l] <= ring.bounds[l] for l in range(d))
     assert ring.from_terms(elem.terms) == elem
+
+
+BUNDLE_KINDS = ("formal", "formal-two-families", "split", "rational-segre")
+
+
+def _bundle(kind, rank, draw_int):
+    """A rank-``rank`` bundle of one of four kinds over a base of dimension 2."""
+    if kind == "formal":
+        return BundleModel.formal(formal_segre(2), rank)
+    if kind == "formal-two-families":
+        return BundleModel.formal(formal_segre(2, families=2), rank, family=1)
+    base = projective_space(2)
+    if kind == "split":
+        return BundleModel.from_chern_roots(base, [draw_int(-2, 2) for _ in range(rank)])
+    # rational Segre classes s_1 = q_1 h, s_2 = q_2 h^2; rank >= 2 keeps them consistent
+    h = base.hyperplane()
+    q1, q2 = (Fraction(draw_int(-5, 5), draw_int(1, 4)) for _ in range(2))
+    return BundleModel.from_segre(base, max(rank, 2), [base.one(), h * q1, h * h * q2])
+
+
+@st.composite
+def flag_rings(draw):
+    kind = draw(st.sampled_from(BUNDLE_KINDS))
+    rank = draw(st.integers(min_value=1, max_value=6))
+    bundle = _bundle(kind, rank, lambda lo, hi: draw(st.integers(lo, hi)))
+    d = draw(st.integers(min_value=1, max_value=bundle.rank))
+    return FlagRing(bundle, d)
+
+
+def _monomials(draw, ring, count):
+    high = ring.bundle.rank + 1
+    return [
+        tuple(draw(st.integers(min_value=0, max_value=high)) for _ in range(ring.d))
+        for _ in range(count)
+    ]
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_normal_form_is_multiplicative(data):
+    """from_terms(a) * from_terms(b) == from_terms(a + b)."""
+    ring = data.draw(flag_rings())
+    a, b = _monomials(data.draw, ring, 2)
+    one = ring.bundle.base.one()
+    product = ring.from_terms({a: one}) * ring.from_terms({b: one})
+    assert product == ring.from_terms({tuple(x + y for x, y in zip(a, b)): one})
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_normal_form_step_is_multiplication_by_xi(data):
+    """from_terms(e + delta_l) == from_terms(e) * xi(l), and the top
+    coefficient of from_terms(e) is the determinantal push-forward."""
+    ring = data.draw(flag_rings())
+    (e,) = _monomials(data.draw, ring, 1)
+    l = data.draw(st.integers(min_value=0, max_value=ring.d - 1))
+    one = ring.bundle.base.one()
+    bumped = tuple(x + (i == l) for i, x in enumerate(e))
+    assert ring.from_terms({bumped: one}) == ring.from_terms({e: one}) * ring.xi(l)
+    pushed = ring.from_terms({e: one}).pushforward()
+    assert pushed == monomial_pushforward_det(e, ring.bundle, ring.d)
+
+
+def _coefficients(term_map):
+    for value in term_map.values():
+        yield from value.terms.values()
+
+
+@pytest.mark.parametrize("kind", BUNDLE_KINDS)
+def test_coefficients_stay_exact(kind):
+    """Table, chain and route coefficients are int or Fraction, never
+    float; on integral bundles the flag ring's are plain ints."""
+    bundle = _bundle(kind, 4, random.Random(5).randint)
+    ring = FlagRing(bundle, 2)
+    ring.pushforward_theta_power(ring.relative_dimension + bundle.base.n)
+    ring.from_terms({(5, 4): 1})
+    ring_coeffs = [c for entry in ring._xi_basis.values() for c in _coefficients(entry)]
+    ring_coeffs += [c for step in ring._theta_chain for c in _coefficients(step)]
+    assert ring_coeffs
+    allowed = (int,) if kind != "rational-segre" else (int, Fraction)
+    assert all(type(c) in allowed for c in ring_coeffs)
+    for method in ALL_METHODS:
+        series = ch_pushforward(bundle, 2, method)
+        for m in range(bundle.base.n + 1):
+            assert all(type(c) in (int, Fraction) for c in series.component(m).terms.values())
+
+
+def test_fourway_agreement_formal_rank_8():
+    """Out of reach of the old stack rewriter (22 s); now well under a second."""
+    bundle = BundleModel.formal(formal_segre(3), 8)
+    result = check_fourway(bundle, 4)
+    assert result.ok, result.detail

@@ -3,6 +3,8 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import pytest
+
 from plucker.cli import main
 
 
@@ -221,6 +223,69 @@ class TestConfigFile:
         )
         assert code == 2
         assert "exactly one of" in err
+
+
+class TestZeroAndNegativeValues:
+    """Given values are honoured or refused by name, never replaced by defaults."""
+
+    @pytest.fixture
+    def suites(self, monkeypatch):
+        from plucker import verify
+
+        calls = {}
+
+        def recording(name):
+            def suite(*args, **kwargs):
+                calls[name] = (args, kwargs)
+                return []
+            return suite
+
+        for name in ("run_all", "run_phi_suite", "run_identity_suite"):
+            monkeypatch.setattr(verify, name, recording(name))
+        return calls
+
+    def test_verify_honours_zero_seed_and_truncation(self, capsys, suites):
+        code, _, _ = run_cli(capsys, "verify", "--seed", "0", "--truncation", "0",
+                             "--max-rank", "1")
+        assert code == 0
+        args, kwargs = suites["run_all"]
+        assert args == (1, 0) and kwargs["seed"] == 0
+
+    def test_identity_check_honours_zero_seed_and_truncation(self, capsys, suites):
+        code, _, _ = run_cli(capsys, "identity-check", "--seed", "0", "--truncation", "0")
+        assert code == 0
+        assert suites["run_phi_suite"][1]["seed"] == 0
+        identity = suites["run_identity_suite"][1]
+        assert identity["seed"] == 0 and identity["cauchy_truncation"] == 0
+
+    def test_formal_truncation_zero_honoured(self, capsys):
+        code, out, _ = run_cli(capsys, "chern-pushforward", "--base", "formal",
+                               "--truncation", "0", "--rank", "3", "--formal-bundle",
+                               "-d", "1", "--format", "json")
+        assert code == 0
+        assert json.loads(out)[0]["params"]["truncation"] == 0
+
+    @pytest.mark.parametrize("argv, field", [
+        (("identity-check", "--trials", "0"), "options.trials"),
+        (("verify", "--max-rank", "0"), "options.max-rank"),
+        (("verify", "--truncation", "-1"), "options.truncation"),
+        (("verify", "--jobs", "0"), "options.jobs"),
+        (("verify", "--jobs", "-1"), "options.jobs"),
+        (("chern-pushforward", "--base", "formal", "--families", "0", "--rank", "2",
+          "--formal-bundle", "-d", "1"), "base.families"),
+        (("degree", "--base", "projective", "--base-dim", "-1", "--rank", "2", "-d", "1"),
+         "base.dim"),
+    ])
+    def test_unusable_values_refused(self, capsys, argv, field):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert field in err
+
+    def test_oversized_degree_refused(self, capsys):
+        code, _, err = run_cli(capsys, "degree", "--base", "point", "--rank", "2000",
+                               "-d", "1000")
+        assert code == 2
+        assert "options.d" in err
 
 
 class TestDeterminism:

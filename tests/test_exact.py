@@ -8,6 +8,7 @@ from plucker.exact import (
     const_of_product,
     const_term,
     det,
+    exponent_vectors,
     inv_factorial,
     perm_sign,
     vandermonde,
@@ -228,3 +229,24 @@ def test_perm_sign_matches_inversion_count():
             if perm[i] > perm[j]
         )
         assert perm_sign(perm) == (-1) ** inversions
+
+
+class TestExponentVectors:
+    @pytest.mark.parametrize("length", [0, 1, 2, 3, 4])
+    def test_lexicographic_like_product(self, length):
+        from itertools import product
+
+        for entry in range(4):
+            grid = list(product(range(entry + 1), repeat=length))
+            assert list(exponent_vectors(length, max_entry=entry)) == grid
+            for total in range(6):
+                assert list(
+                    exponent_vectors(length, max_entry=entry, max_total=total)
+                ) == [v for v in grid if sum(v) <= total]
+            assert list(exponent_vectors(length, max_total=entry)) == [
+                v for v in grid if sum(v) <= entry
+            ]
+
+    def test_length_beyond_recursion_limit(self):
+        assert list(exponent_vectors(5000, max_total=0)) == [(0,) * 5000]
+        assert len(list(exponent_vectors(5000, max_total=1))) == 5001

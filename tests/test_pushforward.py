@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from plucker.chow import BundleModel, FlagRing, formal_segre, point, projective_space
-from plucker.exact import LaurentPoly
+from plucker.exact import LaurentPoly, exponent_vectors
 from plucker.pushforward import (
     DISPLAYED,
     PROOF,
@@ -46,7 +46,7 @@ class TestPhi:
 
     def test_matches_closed_form_small_grid(self):
         for d in (1, 2, 3):
-            for k in _grid(d, 5):
+            for k in exponent_vectors(d, max_entry=5):
                 assert phi(LaurentPoly.monomial(d, k), d) == phi_eval_monomial(k), k
 
     def test_closed_form_values(self):
@@ -71,15 +71,6 @@ class TestPhi:
         from plucker.exact import perm_sign
 
         assert phi(f.permute_variables(list(perm)), d) == perm_sign(perm) * phi(f, d)
-
-
-def _grid(d, bound):
-    if d == 0:
-        yield ()
-        return
-    for head in range(bound + 1):
-        for rest in _grid(d - 1, bound):
-            yield (head,) + rest
 
 
 class TestFactorialDet:
@@ -283,6 +274,33 @@ class TestChernCharacterRoutes:
         displayed = ch_pushforward_closed(E, 2, DISPLAYED)
         oracle = ch_pushforward_oracle(E, 2)
         assert not displayed.same_components(oracle)
+
+    def test_oracle_uses_a_given_ring(self, fm3):
+        E = BundleModel.formal(fm3, 4)
+        ring = FlagRing(E, 2)
+        assert ch_pushforward_oracle(E, 2, ring).same_components(ch_pushforward_oracle(E, 2))
+        assert ring._theta_chain is not None
+        with pytest.raises(ValueError):
+            ch_pushforward_oracle(E, 1, ring)
+        with pytest.raises(ValueError):
+            ch_pushforward_oracle(BundleModel.formal(fm3, 4), 2, ring)
+
+    def test_fourway_case_builds_one_ring(self, fm3, monkeypatch):
+        from plucker import pushforward, verify
+
+        built = []
+
+        class CountingRing(FlagRing):
+            __slots__ = ()
+
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(verify, "FlagRing", CountingRing)
+        monkeypatch.setattr(pushforward, "FlagRing", CountingRing)
+        assert verify.check_fourway(BundleModel.formal(fm3, 4), 2).ok
+        assert len(built) == 1
 
     def test_dispatch(self, fm3):
         E = BundleModel.formal(fm3, 2)
