@@ -21,7 +21,7 @@ from .chow import (
     segre_from_chern,
 )
 from .degree import DegreeResult, fiber_degree_hook, plucker_degree
-from .exact import LaurentPoly, Rational, const_term, det, inv_factorial, vandermonde
+from .exact import LaurentPoly, const_term, det, inv_factorial, vandermonde
 from .pushforward import (
     ALL_METHODS,
     DISPLAYED,
@@ -64,7 +64,6 @@ __all__ = [
     "LaurentPoly",
     "PROOF",
     "PushforwardSeries",
-    "Rational",
     "antisymmetrize",
     "cauchy_expand_check",
     "ch_pushforward",

@@ -28,7 +28,7 @@ from __future__ import annotations
 import threading
 from fractions import Fraction
 
-from .exact import LaurentPoly, _tadd
+from .exact import LaurentPoly, _tadd, exact_str
 
 _ZERO = 0
 _ONE = 1
@@ -91,8 +91,11 @@ class BaseModel:
         return self.scalar(_ONE)
 
     def scalar(self, value) -> "GradedElement":
-        value = Fraction(value)
-        if value.denominator == 1:
+        """The constant ``value``, an ``int`` or a ``Fraction``; a float
+        (or a bool) is refused with ``TypeError``."""
+        if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+            raise TypeError(f"scalar {value!r} is not an int or a Fraction")
+        if isinstance(value, Fraction) and value.denominator == 1:
             value = value.numerator
         if not value:
             return GradedElement(self, {})
@@ -303,13 +306,13 @@ class GradedElement:
                 if e
             )
             if not mono:
-                bits.append(str(coeff))
+                bits.append(exact_str(coeff))
             elif coeff == 1:
                 bits.append(mono)
             elif coeff == -1:
                 bits.append("-" + mono)
             else:
-                bits.append(f"{coeff}*{mono}")
+                bits.append(f"{exact_str(coeff)}*{mono}")
         return " + ".join(bits).replace("+ -", "- ")
 
 

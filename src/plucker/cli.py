@@ -28,6 +28,7 @@ from fractions import Fraction
 
 from .chow import FORMAL, POINT, BundleModel, formal_segre, point, projective_space
 from .degree import plucker_degree
+from .exact import exact_str
 from .pushforward import (
     ALL_METHODS,
     DISPLAYED,
@@ -38,8 +39,7 @@ from . import verify as verify_mod
 
 
 # Largest Grassmann-bundle dimension d(r-d)+n the degree command accepts.
-# Over a point the degree at this size has about 3300 digits, within the
-# interpreter's default limit of 4300 for printing an integer, and takes
+# Over a point the degree at this size has about 3300 digits and takes
 # milliseconds; at d(r-d) = 10^6 the closed sum alone runs for minutes.
 MAX_DEGREE_DIMENSION = 2500
 
@@ -249,7 +249,7 @@ def element_fields(elem):
             for name, e in zip(model.gen_names, exps)
             if e
         )
-        out[mono or "1"] = str(elem.terms[exps])
+        out[mono or "1"] = exact_str(elem.terms[exps])
     return out
 
 
@@ -287,9 +287,9 @@ def cmd_degree(merged) -> int:
             "params": _params_json(bundle, d, {"denominator": denominator}),
             "method": "closed",
             "degree_components": [
-                {"k": list(k), "value": str(value)} for k, value in result.breakdown
+                {"k": list(k), "value": exact_str(value)} for k, value in result.breakdown
             ],
-            "value": str(result.degree),
+            "value": exact_str(result.degree),
         }
         print(json.dumps(doc, indent=2, sort_keys=True))
         return 0
@@ -300,11 +300,11 @@ def cmd_degree(merged) -> int:
     print("  note: assumes the Pluecker embedding hypothesis (a very ample"
           " exterior power); not checked here")
     for k, value in result.breakdown:
-        print(f"  k={k}: {value}")
+        print(f"  k={k}: {exact_str(value)}")
     if not result.is_integer:
         print("  warning: non-integer value; outside the embedding hypothesis"
               " or a wrong denominator variant")
-    print(f"degree = {result.degree}")
+    print(f"degree = {exact_str(result.degree)}")
     return 0
 
 

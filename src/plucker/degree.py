@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import factorial
 
 from .chow import FORMAL, integrate
-from .exact import exponent_vectors
+from .exact import exact_str, exponent_vectors
 from .pushforward import PROOF, closed_term_coefficient
 from .symfunc import syt_count
 
@@ -40,7 +40,7 @@ class DegreeResult:
 
     def __repr__(self):
         return (
-            f"DegreeResult(degree={self.degree}, rank={self.rank}, d={self.d}, "
+            f"DegreeResult(degree={exact_str(self.degree)}, rank={self.rank}, d={self.d}, "
             f"base={self.base}, denominator={self.denominator!r})"
         )
 

@@ -1,24 +1,36 @@
 """Exact scalars and sparse multivariate Laurent polynomials.
 
-Scalars are arbitrary-precision rationals (``fractions.Fraction``), and
-polynomial coefficients may live in any commutative ring whose elements
-support ``+``, ``-``, ``*`` and truth testing.  Zero coefficients are
-pruned after every operation, so equality of polynomials is structural
-equality of their term maps.  Nothing in this module (or this package)
-ever rounds: floating point is banned end to end.
+Scalars are Python ``int``s wherever they are integral and
+``fractions.Fraction``s where a denominator enters (factorial weights,
+rational input, a division with a remainder); the constants here are the
+ints ``0`` and ``1``.  Polynomial coefficients may live in any
+commutative ring whose elements support ``+``, ``-``, ``*`` and truth
+testing.  Zero coefficients are pruned after every operation, so
+equality of polynomials is structural equality of their term maps.
+Nothing in this module (or this package) ever rounds: floating point is
+banned end to end, and no division here produces a float.
 """
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
+from itertools import permutations
 from math import factorial
 from operator import add as _add
 
-Rational = Fraction
+_ZERO = 0
+_ONE = 1
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+
+def exact_str(value) -> str:
+    """Every digit of an int, or ``p/q`` for a ``Fraction`` (``p`` when
+    q = 1), however long.  Ints are printed through ``Decimal``, which
+    has no limit on the digits of an int it converts, unlike ``str``."""
+    if isinstance(value, Fraction) and value.denominator != 1:
+        return f"{exact_str(value.numerator)}/{exact_str(value.denominator)}"
+    return str(Decimal(int(value)))
 
 
 def inv_factorial(m: int) -> Fraction:
@@ -206,9 +218,6 @@ class LaurentPoly:
             k >>= 1
         return result
 
-    def map_coeffs(self, fn) -> "LaurentPoly":
-        return LaurentPoly(self.nvars, {e: fn(c) for e, c in self.terms.items()})
-
     def invert_variables(self) -> "LaurentPoly":
         """Substitute t_i -> 1/t_i for every variable."""
         res = LaurentPoly(self.nvars)
@@ -240,9 +249,10 @@ class LaurentPoly:
     def divexact(self, divisor: "LaurentPoly") -> "LaurentPoly":
         """Exact division of polynomials with rational coefficients.
 
-        Both operands must have nonnegative exponents.  Raises ValueError
-        if the division leaves a remainder; callers rely on that as a
-        self-check.
+        Both operands must have nonnegative exponents.  A quotient
+        coefficient is an int when it divides out evenly, else a
+        ``Fraction``.  Raises ValueError if the division leaves a
+        remainder; callers rely on that as a self-check.
         """
         self._check(divisor)
         if not divisor:
@@ -260,7 +270,12 @@ class LaurentPoly:
             q = tuple(a - b for a, b in zip(m, lead))
             if any(x < 0 for x in q):
                 raise ValueError("division is not exact (leftover monomial %r)" % (m,))
-            qc = c / lead_coeff
+            if isinstance(c, int) and isinstance(lead_coeff, int):
+                qc, rest = divmod(c, lead_coeff)
+                if rest:
+                    qc = Fraction(c, lead_coeff)
+            else:
+                qc = c / lead_coeff
             quot[q] = quot.get(q, _ZERO) + qc
             for e, dc in divisor.terms.items():
                 if e == lead:
@@ -319,17 +334,19 @@ def const_of_product(a: LaurentPoly, b: LaurentPoly):
 def vandermonde(nvars: int) -> LaurentPoly:
     """The product of (t_i - t_j) over i < j; 1 for a single variable.
 
-    Cached: instances are immutable by convention, so sharing is safe.
+    Built term by term as det[t_i^(nvars-1-j)]: each permutation p gives
+    sgn(p) * prod t_i^(nvars-1-p(i)).  No polynomial product is formed,
+    so threads that miss the cache at once repeat identical work and
+    nothing else.  Cached: instances are immutable by convention, so
+    sharing is safe.
     """
     if nvars < 1:
         raise ValueError("need at least one variable")
-    result = LaurentPoly.constant(nvars, _ONE)
-    for i in range(nvars):
-        for j in range(i + 1, nvars):
-            result = result * (
-                LaurentPoly.variable(nvars, i) - LaurentPoly.variable(nvars, j)
-            )
-    return result
+    top = nvars - 1
+    return LaurentPoly(nvars, {
+        tuple(top - p for p in perm): perm_sign(perm)
+        for perm in permutations(range(nvars))
+    })
 
 
 def det(rows):

@@ -22,14 +22,13 @@ oracle and the classical degrees, but both are available for comparison
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 from .chow import FlagRing, GradedElement
 from .exact import LaurentPoly, const_of_product, det, exponent_vectors, inv_factorial, vandermonde
 from .symfunc import partitions_up_to, schur_delta, segre_series_poly, syt_count, weight
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 PROOF = "proof"
 DISPLAYED = "displayed"
@@ -40,22 +39,29 @@ def phi(f: LaurentPoly, nvars: int):
     Delta(t) exp(1/t_0 + ... + 1/t_{d-1}) f.
 
     The exponential never gets materialized: a monomial of Delta * f with
-    exponents (m_0, ..., m_{d-1}) contributes its coefficient times
-    prod 1/m_i!, where 1/m! = 0 for negative m.  Coefficients may be
-    rationals or graded base-ring elements.
+    exponents (m_0, ..., m_{d-1}) contributes its coefficient over the
+    integer denominator prod m_i!, and nothing when some m_i is negative.
+    Coefficients are summed per denominator first.  Integer coefficients
+    then meet a single division by the lcm of the denominators; rationals
+    and graded base-ring elements are scaled by 1/den once per group.
     """
     if f.nvars != nvars:
         raise ValueError("variable count mismatch")
-    g = vandermonde(nvars) * f
-    total = _ZERO
-    for exps, coeff in g.terms.items():
-        scale = _ONE
+    groups = {}
+    for exps, coeff in (vandermonde(nvars) * f).terms.items():
+        if min(exps) < 0:
+            continue
+        den = 1
         for e in exps:
-            scale *= inv_factorial(e)
-            if not scale:
-                break
-        if scale:
-            total = total + coeff * scale
+            den *= factorial(e)
+        have = groups.get(den)
+        groups[den] = coeff if have is None else have + coeff
+    if all(isinstance(c, int) for c in groups.values()):
+        common = lcm(*groups)
+        return Fraction(sum(c * (common // den) for den, c in groups.items()), common)
+    total = _ZERO
+    for den, c in groups.items():
+        total = total + c * Fraction(1, den)
     return total
 
 

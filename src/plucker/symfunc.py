@@ -14,12 +14,9 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import permutations
-from math import factorial
+from math import factorial, lcm, prod
 
 from .exact import LaurentPoly, det, perm_sign, vandermonde
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def is_partition(mu) -> bool:
@@ -227,7 +224,7 @@ def antisymmetrize(f: LaurentPoly, block) -> LaurentPoly:
 
 
 def _vandermonde_at(values):
-    acc = _ONE
+    acc = 1
     for i in range(len(values)):
         for j in range(i + 1, len(values)):
             acc *= values[i] - values[j]
@@ -238,6 +235,48 @@ def _random_fraction(rng, height):
     return Fraction(rng.randint(-height, height), rng.randint(1, height))
 
 
+def _to_integers(values):
+    """The values times the lcm L of their denominators, as ints, and L."""
+    common = lcm(*(v.denominator for v in values))
+    return [v.numerator * (common // v.denominator) for v in values], common
+
+
+def _signed_block_sum(xs, d, perms, weights):
+    """Sum over permutations of sgn * V(a) V(b) * prod_{x in b} w(x),
+    where a and b are the first d and the last r-d permuted points and
+    ``weights[i]`` is w(xs[i])."""
+    total = 0
+    for sign, perm in perms:
+        vals = [xs[p] for p in perm]
+        total += (sign * _vandermonde_at(vals[:d]) * _vandermonde_at(vals[d:])
+                  * prod(weights[p] for p in perm[d:]))
+    return total
+
+
+def _tau_point_holds(xs, taus, d, perms, scale):
+    """The tau form at one point, with every denominator cleared:
+    sum sgn V(a)V(b) prod_{tau, x in b}(tau - x) == scale * V(X), the
+    identity times prod_{tau, x}(tau - x), at the point scaled to
+    integers (both sides are homogeneous of degree r(r-1)/2)."""
+    ints, _ = _to_integers(list(xs) + list(taus))
+    xs, taus = ints[:len(xs)], ints[len(xs):]
+    weights = [prod(tau - x for tau in taus) for x in xs]
+    return _signed_block_sum(xs, d, perms, weights) == scale * _vandermonde_at(xs)
+
+
+def _t_point_holds(xs, ts, d, perms, scale):
+    """The t form at one point, with every denominator cleared: for
+    x = X/L and t = T/M, 1 - x t = (LM - XT)/(LM), and the identity times
+    prod_{t, x}(1 - x t) becomes
+    sum sgn V(a)V(b) prod_{t, x in b}(LM - XT) == scale * V(X) prod T^(r-d)."""
+    xs, big_l = _to_integers(xs)
+    ts, big_m = _to_integers(ts)
+    lm = big_l * big_m
+    weights = [prod(lm - x * t for t in ts) for x in xs]
+    rhs = scale * _vandermonde_at(xs) * prod(t ** (len(xs) - d) for t in ts)
+    return _signed_block_sum(xs, d, perms, weights) == rhs
+
+
 def gen_cauchy_check(r: int, d: int, trials: int = 100, seed: int = 0,
                      height: int = 20) -> bool:
     """Verify the generalized Cauchy determinant identity at random
@@ -246,52 +285,22 @@ def gen_cauchy_check(r: int, d: int, trials: int = 100, seed: int = 0,
     With the unnormalized antisymmetrizer the correct right-hand side
     carries the combinatorial factor d! (r-d)!; see the identity notes in
     the README.  Degenerate samples (coinciding points, vanishing
-    denominators) are resampled, never evaluated; equality is exact.
+    denominators) are resampled, never evaluated.  Each point is checked
+    with its denominators cleared, on ints: equality is exact.
     """
     if not 1 <= d <= r:
         raise ValueError("need 1 <= d <= r")
     if r > 6:
         raise ValueError("r is capped at 6: the antisymmetrizer sums r! terms")
     rng = random.Random(seed)
-    scale = Fraction(factorial(d) * factorial(r - d))
+    scale = factorial(d) * factorial(r - d)
     perms = [(perm_sign(p), p) for p in permutations(range(r))]
     for _ in range(trials):
         xs, taus = _sample_tau_point(rng, r, d, height)
-        lhs = _ZERO
-        for sign, perm in perms:
-            vals = [xs[perm[i]] for i in range(r)]
-            num = _vandermonde_at(vals[:d]) * _vandermonde_at(vals[d:])
-            if num:
-                den = _ONE
-                for tau in taus:
-                    for x in vals[:d]:
-                        den *= tau - x
-                lhs += sign * num / den
-        den_all = _ONE
-        for tau in taus:
-            for x in xs:
-                den_all *= tau - x
-        if lhs != scale * _vandermonde_at(xs) / den_all:
+        if not _tau_point_holds(xs, taus, d, perms, scale):
             return False
-
         xs, ts = _sample_t_point(rng, r, d, height)
-        lhs = _ZERO
-        for sign, perm in perms:
-            vals = [xs[perm[i]] for i in range(r)]
-            num = _vandermonde_at(vals[:d]) * _vandermonde_at(vals[d:])
-            if num:
-                den = _ONE
-                for t in ts:
-                    for x in vals[:d]:
-                        den *= 1 - x * t
-                lhs += sign * num / den
-        den_all = _ONE
-        tpow = _ONE
-        for t in ts:
-            tpow *= t ** (r - d)
-            for x in xs:
-                den_all *= 1 - x * t
-        if lhs != scale * _vandermonde_at(xs) * tpow / den_all:
+        if not _t_point_holds(xs, ts, d, perms, scale):
             return False
     return True
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 import random
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import permutations
 
 from .chow import BundleModel, FlagRing, formal_segre, point, projective_space
@@ -174,8 +173,8 @@ def _random_laurent(rng, nvars, nterms=4, low=-3, high=5, coeff_bound=9):
     terms = {}
     for _ in range(nterms):
         exps = tuple(rng.randint(low, high) for _ in range(nvars))
-        value = Fraction(rng.randint(-coeff_bound, coeff_bound))
-        terms[exps] = terms.get(exps, Fraction(0)) + value
+        value = rng.randint(-coeff_bound, coeff_bound)
+        terms[exps] = terms.get(exps, 0) + value
     return LaurentPoly(nvars, terms)
 
 

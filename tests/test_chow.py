@@ -46,6 +46,19 @@ class TestGradedElement:
         assert p2.one() + 1 == p2.scalar(2)
         assert 1 - p2.one() == 0
 
+    @pytest.mark.parametrize("value", [0.25, 2.0, True, False, "1/2"])
+    def test_scalar_refuses_non_exact_types(self, value):
+        with pytest.raises(TypeError):
+            point().scalar(value)
+        with pytest.raises(TypeError):
+            FlagRing(BundleModel.trivial(point(), 2), 1).scalar(value)
+
+    def test_scalar_keeps_int_and_fraction(self, p2):
+        assert p2.scalar(3).terms == {(0,): 3}
+        assert type(p2.scalar(Fraction(6, 2)).terms[(0,)]) is int
+        assert p2.scalar(Fraction(1, 2)).terms == {(0,): Fraction(1, 2)}
+        assert not p2.scalar(0)
+
     def test_component_and_degrees(self, p2):
         h = p2.hyperplane()
         mixed = h * 2 + p2.one() * 7

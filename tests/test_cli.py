@@ -1,11 +1,15 @@
 import json
+import re
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
+from plucker.chow import BundleModel, projective_space
 from plucker.cli import main
+from plucker.degree import plucker_degree
 
 
 def run_cli(capsys, *argv):
@@ -286,6 +290,57 @@ class TestZeroAndNegativeValues:
                                "-d", "1000")
         assert code == 2
         assert "options.d" in err
+
+
+class TestLongValues:
+    """Exact values longer than the interpreter's 4300-digit limit for
+    int-to-str conversion are printed in full."""
+
+    NINES = "9" * 1500
+
+    def expected_degree(self):
+        bundle = BundleModel.from_chern_roots(projective_space(3), [int(self.NINES), 1, 1])
+        degree = plucker_degree(bundle, 1).degree
+        assert degree.denominator == 1 and degree.numerator > 10 ** 4400
+        return Decimal(degree.numerator)
+
+    def test_degree_text(self, capsys):
+        code, out, err = run_cli(capsys, "degree", "--base", "P3",
+                                 f"--roots={self.NINES},1,1", "-d", "1")
+        assert code == 0, err
+        last = out.splitlines()[-1]
+        assert last.startswith("degree = ")
+        assert Decimal(last.split(" = ")[1]) == self.expected_degree()
+
+    def test_degree_json(self, capsys):
+        code, out, err = run_cli(capsys, "degree", "--base", "P3",
+                                 f"--roots={self.NINES},1,1", "-d", "1",
+                                 "--format", "json")
+        assert code == 0, err
+        doc = json.loads(out)
+        assert Decimal(doc["value"]) == self.expected_degree()
+        assert max(len(c["value"]) for c in doc["degree_components"]) > 4300
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_chern_pushforward(self, capsys, fmt):
+        code, out, err = run_cli(capsys, "chern-pushforward", "--base", "P3",
+                                 f"--roots={self.NINES},1,1", "-d", "1", "--format", fmt)
+        assert code == 0, err
+        assert re.search(r"\d{4400}", out)
+
+
+class TestVerifySeeds:
+    """The suites pass at every seed, and no case name carries the seed."""
+
+    def test_reduced_grid_same_bytes_at_every_seed(self, capsys):
+        outputs = []
+        for seed in ("0", "1", "7", "12345"):
+            code, out, err = run_cli(capsys, "verify", "--max-rank", "3",
+                                     "--format", "json", "--seed", seed)
+            assert code == 0, err
+            assert all(case["ok"] for case in json.loads(out)), seed
+            outputs.append(out)
+        assert len(set(outputs)) == 1
 
 
 class TestDeterminism:

@@ -103,6 +103,13 @@ class TestResultShape:
         assert result.bundle == "quadric data"
         assert isinstance(result, DegreeResult)
 
+    def test_repr_prints_every_digit(self):
+        twist = 10 ** 1500 - 1
+        E = BundleModel.from_chern_roots(projective_space(3), [twist, 1, 1])
+        result = plucker_degree(E, 1)
+        assert result.degree > 10 ** 4400
+        assert f"degree={result.degree.numerator // 10 ** 4400}" in repr(result)
+
     def test_same_segre_data_same_degree(self):
         base = projective_space(2)
         from_roots = BundleModel.from_chern_roots(base, [1, 1, 0])

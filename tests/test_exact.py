@@ -8,6 +8,7 @@ from plucker.exact import (
     const_of_product,
     const_term,
     det,
+    exact_str,
     exponent_vectors,
     inv_factorial,
     perm_sign,
@@ -72,6 +73,28 @@ class TestVandermonde:
         )
         assert vandermonde(3) == expected
         assert len(vandermonde(3).terms) == 6
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_matches_product_of_differences(self, d):
+        product = LaurentPoly.constant(d, 1)
+        for i in range(d):
+            for j in range(i + 1, d):
+                product = product * (LaurentPoly.variable(d, i) - LaurentPoly.variable(d, j))
+        assert vandermonde(d) == product
+
+    def test_forms_no_polynomial_product(self, monkeypatch):
+        # threads may fill the cache at once; without products a repeated
+        # fill repeats no countable work
+        calls = []
+        original = LaurentPoly.__mul__
+
+        def counting(a, b):
+            calls.append(1)
+            return original(a, b)
+
+        monkeypatch.setattr(LaurentPoly, "__mul__", counting)
+        assert len(vandermonde.__wrapped__(5).terms) == 120
+        assert not calls
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_bialternant_consistency(self, d):
@@ -199,6 +222,48 @@ class TestDivision:
     def test_laurent_input_rejected(self):
         with pytest.raises(ValueError):
             lp(1, {(-1,): 1}).divexact(lp(1, {(0,): 1}))
+
+    def test_int_division_with_remainder_gives_fraction(self):
+        q = LaurentPoly.monomial(1, (1,), 3).divexact(LaurentPoly.monomial(1, (0,), 2))
+        assert q.terms == {(1,): Fraction(3, 2)}
+        assert type(q.terms[(1,)]) is Fraction
+
+    def test_even_int_division_stays_int(self):
+        q = LaurentPoly.monomial(1, (1,), 4).divexact(LaurentPoly.monomial(1, (0,), 2))
+        assert q.terms == {(1,): 2}
+        assert type(q.terms[(1,)]) is int
+
+    @given(st.data())
+    @settings(max_examples=60)
+    def test_int_operands_never_give_a_float(self, data):
+        def int_poly():
+            return LaurentPoly(2, {
+                tuple(data.draw(st.integers(0, 3)) for _ in range(2)):
+                    data.draw(st.integers(-6, 6))
+                for _ in range(data.draw(st.integers(1, 4)))
+            })
+
+        f, g = int_poly(), int_poly()
+        if not g:
+            return
+        q = (f * g).divexact(g)
+        assert q == f
+        assert all(type(c) in (int, Fraction) for c in q.terms.values())
+
+
+class TestExactStr:
+    def test_short_values(self):
+        assert exact_str(-12) == "-12"
+        assert exact_str(0) == "0"
+        assert exact_str(Fraction(6, 2)) == "3"
+        assert exact_str(Fraction(-3, 4)) == "-3/4"
+
+    def test_every_digit_past_the_int_str_limit(self):
+        big = 10 ** 5000 - 1
+        text = exact_str(-big)
+        assert text == "-" + "9" * 5000
+        assert exact_str(Fraction(big, 7)) == "9" * 5000 + "/7"
+        assert exact_str(Fraction(1, 10 ** 6000)) == "1/1" + "0" * 6000
 
 
 class TestVariableMaps:

@@ -5,8 +5,15 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from plucker.chow import BundleModel, FlagRing, formal_segre, point, projective_space
-from plucker.exact import LaurentPoly, exponent_vectors
+from plucker.chow import (
+    BundleModel,
+    FlagRing,
+    GradedElement,
+    formal_segre,
+    point,
+    projective_space,
+)
+from plucker.exact import LaurentPoly, exponent_vectors, inv_factorial, vandermonde
 from plucker.pushforward import (
     DISPLAYED,
     PROOF,
@@ -71,6 +78,51 @@ class TestPhi:
         from plucker.exact import perm_sign
 
         assert phi(f.permute_variables(list(perm)), d) == perm_sign(perm) * phi(f, d)
+
+
+def _phi_per_term(f, nvars):
+    """phi as its definition reads: each monomial of Delta * f weighted by
+    prod 1/m_i! on its own, with 1/m! = 0 for negative m."""
+    total = 0
+    for exps, coeff in (vandermonde(nvars) * f).terms.items():
+        weight = Fraction(1)
+        for e in exps:
+            weight *= inv_factorial(e)
+        total = total + coeff * weight
+    return total
+
+
+class TestPhiAgainstPerTermReference:
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_grouped_denominators_match(self, data):
+        d = data.draw(st.integers(1, 3))
+        kind = data.draw(st.sampled_from(["int", "fraction", "graded"]))
+        base = formal_segre(2)
+        terms = {}
+        for _ in range(data.draw(st.integers(0, 5))):
+            exps = tuple(data.draw(st.integers(-3, 6)) for _ in range(d))
+            coeff = data.draw(st.integers(-6, 6))
+            if kind == "fraction":
+                coeff = Fraction(coeff, data.draw(st.integers(1, 7)))
+            elif kind == "graded":
+                coeff = base.scalar(coeff) + base.segre_generator(
+                    data.draw(st.integers(1, 2))
+                ) * Fraction(data.draw(st.integers(-4, 4)), data.draw(st.integers(1, 3)))
+            terms[exps] = coeff
+        f = LaurentPoly(d, terms)
+        got = phi(f, d)
+        assert got == _phi_per_term(f, d)
+        if isinstance(got, GradedElement):
+            assert all(type(c) in (int, Fraction) for c in got.terms.values())
+        else:
+            assert type(got) in (int, Fraction)
+
+    def test_int_input_gives_one_fraction(self):
+        f = LaurentPoly(2, {(3, 0): 4, (1, 2): -5, (-1, 4): 7, (0, 0): 2})
+        got = phi(f, 2)
+        assert type(got) is Fraction
+        assert got == _phi_per_term(f, 2)
 
 
 class TestFactorialDet:

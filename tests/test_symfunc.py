@@ -17,6 +17,10 @@ from plucker.symfunc import (
     partitions_up_to,
     schur_delta,
     schur_in_t,
+    _sample_t_point,
+    _sample_tau_point,
+    _t_point_holds,
+    _tau_point_holds,
     standard_tableaux,
     syt_count,
     weight,
@@ -117,6 +121,12 @@ class TestSchurPolynomials:
         s = schur_in_t((2, 1), 3)
         for perm in permutations(range(3)):
             assert s.permute_variables(perm) == s
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_coefficients_are_ints(self, d):
+        # the bialternant quotient divides int by int; no float may appear
+        for lam in partitions_up_to(d, 5):
+            assert all(type(c) is int for c in schur_in_t(lam, d).terms.values()), lam
 
 
 class TestSchurDelta:
@@ -258,7 +268,76 @@ def _tau_form_sides(xs, taus, r, d):
     return lhs, num / den
 
 
+def _t_form_sides(xs, ts, r, d):
+    """Both sides of the t = 1/tau form at a point, in Fractions, without
+    the correction factor: the sum over permutations of
+    sgn V(a)V(b) / prod_{t, x in a}(1 - x t), and V(x) prod t^(r-d) over
+    prod_{t, x}(1 - x t)."""
+    lhs = Fraction(0)
+    for perm in permutations(range(r)):
+        vals = [xs[perm[i]] for i in range(r)]
+        num = Fraction(1)
+        for block in (vals[:d], vals[d:]):
+            for i in range(len(block)):
+                for j in range(i + 1, len(block)):
+                    num *= block[i] - block[j]
+        den = Fraction(1)
+        for t in ts:
+            for x in vals[:d]:
+                den *= 1 - x * t
+        lhs += perm_sign(perm) * num / den
+    num = Fraction(1)
+    for i in range(r):
+        for j in range(i + 1, r):
+            num *= xs[i] - xs[j]
+    den = Fraction(1)
+    for t in ts:
+        num *= t ** (r - d)
+        for x in xs:
+            den *= 1 - x * t
+    return lhs, num / den
+
+
+CAUCHY_SHAPES = [(2, 1), (3, 1), (3, 3), (4, 2), (5, 2), (5, 3)]
+CAUCHY_FORMS = [
+    (_sample_tau_point, _tau_point_holds, _tau_form_sides),
+    (_sample_t_point, _t_point_holds, _t_form_sides),
+]
+
+
 class TestGeneralizedCauchy:
+    @pytest.mark.parametrize("r,d", CAUCHY_SHAPES)
+    @pytest.mark.parametrize("form", CAUCHY_FORMS, ids=["tau", "t"])
+    def test_integer_points_agree_with_fraction_reference(self, form, r, d):
+        # the cross-multiplied int check reaches the verdict of the
+        # Fraction sides at each sampled point, for the right scale and
+        # for wrong ones
+        sample, holds, sides = form
+        rng = random.Random(100 * r + d)
+        perms = [(perm_sign(p), p) for p in permutations(range(r))]
+        right = factorial(d) * factorial(r - d)
+        for _ in range(4):
+            xs, ys = sample(rng, r, d, 20)
+            lhs, rhs = sides(xs, ys, r, d)
+            assert rhs != 0
+            for scale in (right, right + 1, right - 1, 2 * right):
+                assert holds(xs, ys, d, perms, scale) == (lhs == scale * rhs), scale
+
+    @pytest.mark.parametrize("r,d", CAUCHY_SHAPES)
+    @pytest.mark.parametrize("form", CAUCHY_FORMS, ids=["tau", "t"])
+    def test_off_by_one_scale_fails(self, form, r, d):
+        # cross-multiplying removed every division; the check must still
+        # be able to fail
+        sample, holds, _ = form
+        rng = random.Random(7 * r + d)
+        perms = [(perm_sign(p), p) for p in permutations(range(r))]
+        right = factorial(d) * factorial(r - d)
+        for _ in range(3):
+            xs, ys = sample(rng, r, d, 20)
+            assert holds(xs, ys, d, perms, right)
+            assert not holds(xs, ys, d, perms, right + 1)
+            assert not holds(xs, ys, d, perms, right - 1)
+
     def test_hand_point_r2_d1(self):
         # A(1/(tau - x0)) at x = (0, 1), tau = 2: 1/2 - 1 = -1/2 = (0-1)/(2*1)
         lhs, rhs = _tau_form_sides([Fraction(0), Fraction(1)], [Fraction(2)], 2, 1)
