@@ -10,6 +10,11 @@ Three base models are supported:
   above total degree n.  An identity verified there holds for every base
   of dimension at most n, because the generators carry no relations.
 
+Elements of a base model (:class:`GradedElement`) and of a flag ring
+(:class:`FlagRingElement`) are ``exact.SparseTerms`` maps, which supply
+their addition, subtraction, equality and powers; each class here adds
+its parent check, scalar coercion, product and printing.
+
 On top of a base model, :class:`BundleModel` records the rank and the
 Segre classes of a vector bundle, and :class:`FlagRing` realizes the
 Chow ring of its flag bundle as a free module over the base with the
@@ -28,7 +33,7 @@ from __future__ import annotations
 import threading
 from fractions import Fraction
 
-from .exact import LaurentPoly, _tadd, exact_str
+from .exact import LaurentPoly, SparseTerms, _accumulate, _refuse_float, _tadd, exact_str
 
 _ZERO = 0
 _ONE = 1
@@ -38,17 +43,6 @@ PROJECTIVE = "projective"
 FORMAL = "formal"
 
 _FAMILY_PREFIXES = ("s", "u", "v", "w")
-
-
-def _accumulate(out, key, value):
-    """Add ``value`` into ``out[key]``, dropping the key when the sum is zero."""
-    have = out.get(key)
-    if have is not None:
-        value = have + value
-    if value:
-        out[key] = value
-    else:
-        out.pop(key, None)
 
 
 class BaseModel:
@@ -159,12 +153,12 @@ def formal_segre(n: int = 3, families: int = 1) -> BaseModel:
     return BaseModel(FORMAL, n, families, names, degrees)
 
 
-class GradedElement:
+class GradedElement(SparseTerms):
     """Element of a truncated graded base ring, sparse over monomials in
     the model generators.  Components above the truncation degree are
     dropped on construction and during multiplication."""
 
-    __slots__ = ("model", "terms")
+    __slots__ = ("model",)
 
     def __init__(self, model: BaseModel, terms=None):
         self.model = model
@@ -172,6 +166,7 @@ class GradedElement:
         if terms:
             n = model.n
             for exps, coeff in terms.items():
+                _refuse_float(coeff)
                 exps = tuple(exps)
                 if coeff and model._degree(exps) <= n:
                     clean[exps] = coeff
@@ -186,59 +181,21 @@ class GradedElement:
             return self.model.scalar(other)
         return None
 
-    def __bool__(self):
-        return bool(self.terms)
+    def _scalar(self, value):
+        return self.model.scalar(value)
 
-    def __eq__(self, other):
-        peer = self._coerce(other)
-        if peer is None:
-            return NotImplemented
-        return self.terms == peer.terms
-
-    __hash__ = None
-
-    def __add__(self, other):
-        peer = self._coerce(other)
-        if peer is None:
-            return NotImplemented
-        out = dict(self.terms)
-        for exps, coeff in peer.terms.items():
-            acc = out.get(exps, _ZERO) + coeff
-            if acc:
-                out[exps] = acc
-            else:
-                out.pop(exps, None)
-        res = GradedElement(self.model)
-        res.terms = out
+    def _new(self, terms):
+        res = object.__new__(GradedElement)
+        res.model = self.model
+        res.terms = terms
         return res
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        res = GradedElement(self.model)
-        res.terms = {e: -c for e, c in self.terms.items()}
-        return res
-
-    def __sub__(self, other):
-        peer = self._coerce(other)
-        if peer is None:
-            return NotImplemented
-        return self + (-peer)
-
-    def __rsub__(self, other):
-        peer = self._coerce(other)
-        if peer is None:
-            return NotImplemented
-        return peer + (-self)
 
     def __mul__(self, other):
         if not isinstance(other, GradedElement):
             if isinstance(other, (int, Fraction)):
                 if not other:
                     return self.model.zero()
-                res = GradedElement(self.model)
-                res.terms = {e: c * other for e, c in self.terms.items()}
-                return res
+                return self._new({e: c * other for e, c in self.terms.items()})
             return NotImplemented
         if other.model != self.model:
             raise ValueError("elements live over different base models")
@@ -250,34 +207,16 @@ class GradedElement:
         for e1, c1 in self.terms.items():
             d1 = deg(e1)
             for e2, d2, c2 in rhs:
-                if d1 + d2 > bound:
-                    continue
-                key = _tadd(e1, e2)
-                acc = out.get(key, _ZERO) + c1 * c2
-                if acc:
-                    out[key] = acc
-                else:
-                    out.pop(key, None)
-        res = GradedElement(model)
-        res.terms = out
-        return res
+                if d1 + d2 <= bound:
+                    _accumulate(out, _tadd(e1, e2), c1 * c2)
+        return self._new(out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        result = self.model.one()
-        for _ in range(k):
-            result = result * self
-        return result
 
     def component(self, m: int) -> "GradedElement":
         """The homogeneous degree-m part."""
         deg = self.model._degree
-        res = GradedElement(self.model)
-        res.terms = {e: c for e, c in self.terms.items() if deg(e) == m}
-        return res
+        return self._new({e: c for e, c in self.terms.items() if deg(e) == m})
 
     def degrees(self):
         deg = self.model._degree
@@ -667,7 +606,7 @@ class FlagRing:
             exps = tuple(exps)
             if any(e < 0 for e in exps):
                 raise ValueError("flag-ring monomials need nonnegative exponents")
-            if isinstance(coeff, (int, Fraction)):
+            if not isinstance(coeff, GradedElement):
                 coeff = self.bundle.base.scalar(coeff)
             _accumulate(raw, exps, coeff)
         return FlagRingElement(self, self._normalize(raw))
@@ -712,15 +651,20 @@ class FlagRing:
         return value if value is not None else self.bundle.base.zero()
 
 
-class FlagRingElement:
+class FlagRingElement(SparseTerms):
     """Normal-form element of a flag ring: a map from in-bounds exponent
     tuples to base-ring coefficients."""
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring",)
 
     def __init__(self, ring: FlagRing, terms):
         self.ring = ring
-        self.terms = {e: c for e, c in terms.items() if c}
+        clean = {}
+        for exps, coeff in terms.items():
+            _refuse_float(coeff)
+            if coeff:
+                clean[exps] = coeff
+        self.terms = clean
 
     def _coerce(self, other):
         if isinstance(other, FlagRingElement):
@@ -733,63 +677,22 @@ class FlagRingElement:
             return self.ring.scalar(other)
         return None
 
-    def __bool__(self):
-        return bool(self.terms)
+    def _scalar(self, value):
+        return self.ring.scalar(value)
 
-    def __eq__(self, other):
-        peer = self._coerce(other)
-        if peer is None:
-            return NotImplemented
-        return self.terms == peer.terms
-
-    __hash__ = None
-
-    def __add__(self, other):
-        peer = self._coerce(other)
-        if peer is None:
-            return NotImplemented
-        out = dict(self.terms)
-        for exps, coeff in peer.terms.items():
-            have = out.get(exps)
-            acc = coeff if have is None else have + coeff
-            if acc:
-                out[exps] = acc
-            else:
-                out.pop(exps, None)
-        return FlagRingElement(self.ring, out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return FlagRingElement(self.ring, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        peer = self._coerce(other)
-        if peer is None:
-            return NotImplemented
-        return self + (-peer)
-
-    def __rsub__(self, other):
-        peer = self._coerce(other)
-        if peer is None:
-            return NotImplemented
-        return peer + (-self)
+    def _new(self, terms):
+        res = object.__new__(FlagRingElement)
+        res.ring = self.ring
+        res.terms = terms
+        return res
 
     def __mul__(self, other):
         peer = self._coerce(other)
         if peer is None:
             return NotImplemented
-        return FlagRingElement(self.ring, self.ring._mul_terms(self.terms, peer.terms))
+        return self._new(self.ring._mul_terms(self.terms, peer.terms))
 
     __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        result = self.ring.one()
-        for _ in range(k):
-            result = result * self
-        return result
 
     def coefficient(self, exps) -> GradedElement:
         value = self.terms.get(tuple(exps))

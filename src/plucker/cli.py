@@ -43,6 +43,28 @@ from . import verify as verify_mod
 # milliseconds; at d(r-d) = 10^6 the closed sum alone runs for minutes.
 MAX_DEGREE_DIMENSION = 2500
 
+# Every option once: its key, ``section.name`` in the INI file, maps to
+# the dest of the flag that overrides it (None: file only), then, for
+# integer options, the default and the minimum that _get_int applies.
+_OPTIONS = {
+    "job.command": (None, None, None),
+    "base.kind": ("base", None, None),
+    "base.dim": ("base_dim", None, 0),
+    "base.families": ("families", 1, 1),
+    "bundle.rank": ("rank", None, None),
+    "bundle.roots": ("roots", None, None),
+    "bundle.segre": ("segre", None, None),
+    "bundle.formal": ("formal_bundle", None, None),
+    "bundle.family": ("family", 0, None),
+    "options.d": ("d", None, None),
+    "options.denominator": ("denominator", None, None),
+    "options.format": ("format", None, None),
+    "options.seed": ("seed", 11, None),
+    "options.trials": ("trials", 100, 1),
+    "options.max-rank": ("max_rank", verify_mod.DEFAULT_MAX_RANK, 1),
+    "options.truncation": ("truncation", verify_mod.DEFAULT_TRUNCATION, 0),
+}
+
 
 class ConfigError(Exception):
     """Malformed job configuration; the message names the offending field."""
@@ -55,9 +77,10 @@ def _parse_int(field, raw):
         raise ConfigError(f"{field}: expected an integer, got {raw!r}") from None
 
 
-def _get_int(merged, key, default=None, minimum=None):
-    """Integer option ``key``, or ``default`` when it is not given; a
-    given value below ``minimum`` is refused, zero included."""
+def _get_int(merged, key):
+    """Integer option ``key``, or its default when it is not given; a
+    given value below its minimum is refused, zero included."""
+    _, default, minimum = _OPTIONS[key]
     raw = merged.get(key)
     if raw is None:
         return default
@@ -88,48 +111,13 @@ def load_config(path: str) -> dict:
 
 
 def _merge(config: dict, args) -> dict:
-    """Flatten file sections and apply flag overrides."""
-    merged = {
-        "command": config.get("job", {}).get("command"),
-        "base.kind": config.get("base", {}).get("kind"),
-        "base.dim": config.get("base", {}).get("dim"),
-        "base.families": config.get("base", {}).get("families"),
-        "bundle.rank": config.get("bundle", {}).get("rank"),
-        "bundle.roots": config.get("bundle", {}).get("roots"),
-        "bundle.segre": config.get("bundle", {}).get("segre"),
-        "bundle.formal": config.get("bundle", {}).get("formal"),
-        "bundle.family": config.get("bundle", {}).get("family"),
-        "options.d": config.get("options", {}).get("d"),
-        "options.denominator": config.get("options", {}).get("denominator"),
-        "options.format": config.get("options", {}).get("format"),
-        "options.seed": config.get("options", {}).get("seed"),
-        "options.trials": config.get("options", {}).get("trials"),
-        "options.max-rank": config.get("options", {}).get("max-rank"),
-        "options.truncation": config.get("options", {}).get("truncation"),
-        "options.jobs": config.get("options", {}).get("jobs"),
-    }
-    flag = lambda name: getattr(args, name, None)
-    overrides = {
-        "base.kind": flag("base"),
-        "base.dim": flag("base_dim"),
-        "base.families": flag("families"),
-        "bundle.rank": flag("rank"),
-        "bundle.roots": flag("roots"),
-        "bundle.segre": flag("segre"),
-        "bundle.formal": "true" if flag("formal_bundle") else None,
-        "bundle.family": flag("family"),
-        "options.d": flag("d"),
-        "options.denominator": flag("denominator"),
-        "options.format": flag("format"),
-        "options.seed": flag("seed"),
-        "options.trials": flag("trials"),
-        "options.max-rank": flag("max_rank"),
-        "options.truncation": flag("truncation"),
-        "options.jobs": flag("jobs"),
-    }
-    for key, value in overrides.items():
-        if value is not None:
-            merged[key] = value
+    """Every option key with its flag's value when the flag is given,
+    else the file's value (None when neither gives one)."""
+    merged = {}
+    for key, (dest, _, _) in _OPTIONS.items():
+        section, name = key.split(".", 1)
+        value = getattr(args, dest, None) if dest else None
+        merged[key] = value if value is not None else config.get(section, {}).get(name)
     return merged
 
 
@@ -142,15 +130,15 @@ def build_base(merged: dict):
         return point()
     if kind.startswith("p") and kind[1:].isdigit():
         return projective_space(int(kind[1:]))
-    dim = _get_int(merged, "base.dim", minimum=0)
+    dim = _get_int(merged, "base.dim")
     if kind in ("projective", "projective-space"):
         if dim is None:
             raise ConfigError("base.dim: required for a projective-space base")
         return projective_space(dim)
     if kind == "formal":
         if dim is None:
-            dim = _get_int(merged, "options.truncation", 3, minimum=0)
-        return formal_segre(dim, _get_int(merged, "base.families", 1, minimum=1))
+            dim = _get_int(merged, "options.truncation")
+        return formal_segre(dim, _get_int(merged, "base.families"))
     raise ConfigError(f"base.kind: unknown kind {kind!r}")
 
 
@@ -185,7 +173,7 @@ def build_bundle(base, merged: dict):
     if wants_formal:
         if base.kind != FORMAL:
             raise ConfigError("bundle.formal: needs a formal base model")
-        family = _get_int(merged, "bundle.family", 0)
+        family = _get_int(merged, "bundle.family")
         try:
             return BundleModel.formal(base, rank, family)
         except ValueError as err:
@@ -374,21 +362,18 @@ def _print_results(results, fmt) -> int:
 
 def cmd_verify(merged) -> int:
     fmt = _get_format(merged)
-    max_rank = _get_int(merged, "options.max-rank", verify_mod.DEFAULT_MAX_RANK, minimum=1)
-    truncation = _get_int(merged, "options.truncation", verify_mod.DEFAULT_TRUNCATION,
-                          minimum=0)
-    seed = _get_int(merged, "options.seed", 11)
-    jobs = _get_int(merged, "options.jobs", minimum=1)
-    results = verify_mod.run_all(max_rank, truncation, seed=seed, max_workers=jobs)
+    max_rank = _get_int(merged, "options.max-rank")
+    truncation = _get_int(merged, "options.truncation")
+    seed = _get_int(merged, "options.seed")
+    results = verify_mod.run_all(max_rank, truncation, seed=seed)
     return _print_results(results, fmt)
 
 
 def cmd_identity_check(merged) -> int:
     fmt = _get_format(merged)
-    seed = _get_int(merged, "options.seed", 11)
-    trials = _get_int(merged, "options.trials", 100, minimum=1)
-    truncation = _get_int(merged, "options.truncation", verify_mod.DEFAULT_TRUNCATION,
-                          minimum=0)
+    seed = _get_int(merged, "options.seed")
+    trials = _get_int(merged, "options.trials")
+    truncation = _get_int(merged, "options.truncation")
     results = []
     results.extend(verify_mod.run_phi_suite(seed=seed))
     results.extend(
@@ -430,14 +415,11 @@ def build_parser():
                            help="comma-separated integer twists, e.g. 1,1,0")
             p.add_argument("--segre", default=None,
                            help="comma-separated rationals s_0..s_n, e.g. 1,2,3/2")
-            p.add_argument("--formal-bundle", action="store_true",
+            p.add_argument("--formal-bundle", action="store_true", default=None,
                            help="use the free Segre generators of a formal base")
             p.add_argument("--family", type=int, default=None)
             p.add_argument("-d", "--d", type=int, default=None, help="corank")
             p.add_argument("--denominator", choices=(PROOF, DISPLAYED), default=None)
-        else:
-            p.set_defaults(base=None, base_dim=None, rank=None, roots=None,
-                           segre=None, d=None, denominator=None)
 
     p_degree = sub.add_parser("degree", help="Pluecker degree of a Grassmann bundle")
     common(p_degree)
@@ -447,7 +429,6 @@ def build_parser():
     p_verify = sub.add_parser("verify", help="agreement grid and identity suites")
     common(p_verify, with_bundle=False)
     p_verify.add_argument("--max-rank", type=int, default=None)
-    p_verify.add_argument("--jobs", type=int, default=None)
     p_id = sub.add_parser("identity-check", help="identity suites only")
     common(p_id, with_bundle=False)
     return parser
@@ -468,7 +449,7 @@ def main(argv=None) -> int:
         config_path = getattr(args, "config", None)
         config = load_config(config_path) if config_path else {}
         merged = _merge(config, args)
-        command = args.command or merged.get("command")
+        command = args.command or merged.get("job.command")
         if command is None:
             raise ConfigError("job.command: missing (give a subcommand or set it in the config)")
         command = str(command).strip()

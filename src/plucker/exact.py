@@ -1,14 +1,22 @@
-"""Exact scalars and sparse multivariate Laurent polynomials.
+"""Exact scalars, the sparse-term core, and sparse multivariate Laurent
+polynomials.
 
 Scalars are Python ``int``s wherever they are integral and
 ``fractions.Fraction``s where a denominator enters (factorial weights,
 rational input, a division with a remainder); the constants here are the
-ints ``0`` and ``1``.  Polynomial coefficients may live in any
-commutative ring whose elements support ``+``, ``-``, ``*`` and truth
-testing.  Zero coefficients are pruned after every operation, so
-equality of polynomials is structural equality of their term maps.
-Nothing in this module (or this package) ever rounds: floating point is
-banned end to end, and no division here produces a float.
+ints ``0`` and ``1``.
+
+:class:`SparseTerms` is the one sparse map "exponent tuple -> nonzero
+coefficient" under :class:`LaurentPoly` here and ``GradedElement`` and
+``FlagRingElement`` in ``chow``: it holds ``terms`` and implements truth,
+equality, addition, negation, subtraction and powers once, and
+``_accumulate`` is the one accumulate-and-prune rule.  Coefficients may
+live in any commutative ring whose elements support ``+``, ``-``, ``*``
+and truth testing.  Zero coefficients are pruned after every operation,
+so equality is structural equality of term maps.  Nothing in this module
+(or this package) ever rounds: floating point is banned end to end, a
+float coefficient is refused with ``TypeError``, and no division here
+produces a float.
 """
 
 from __future__ import annotations
@@ -88,15 +96,108 @@ def _tadd(a, b):
     return tuple(map(_add, a, b))
 
 
-class LaurentPoly:
+def _accumulate(out, key, value):
+    """Add ``value`` into ``out[key]``, dropping the key when the sum is
+    zero: the accumulate-and-prune rule of every sparse term map."""
+    have = out.get(key)
+    if have is not None:
+        value = have + value
+    if value:
+        out[key] = value
+    else:
+        out.pop(key, None)
+
+
+def _refuse_float(value):
+    if isinstance(value, float):
+        raise TypeError(f"coefficient {value!r} is a float; coefficients must be exact")
+
+
+class SparseTerms:
+    """A sparse map ``terms`` from exponent tuples to nonzero
+    coefficients: the shared core of :class:`LaurentPoly`,
+    ``chow.GradedElement`` and ``chow.FlagRingElement``.
+
+    Truth, equality, ``+``, unary ``-``, ``-`` and ``**`` live here.  A
+    subclass adds its constructor, its ``*`` and its ``repr``, and three
+    hooks:
+
+    * ``_coerce(other)``: ``other`` as an instance with the same parent
+      (variable count, base model or flag ring), or None when ``other``
+      is no operand, which makes the operator return NotImplemented; an
+      instance with another parent raises ValueError;
+    * ``_scalar(value)``: the constant ``value``, an int or a Fraction;
+    * ``_new(terms)``: an instance with the same parent over terms that
+      are already pruned.
+
+    Instances are immutable by convention and unhashable.
+    """
+
+    __slots__ = ("terms",)
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __eq__(self, other):
+        peer = self._coerce(other)
+        if peer is None:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            # a scalar that + refuses (LaurentPoly) still equals its constant
+            peer = self._scalar(other)
+        return self.terms == peer.terms
+
+    __hash__ = None
+
+    def __add__(self, other):
+        peer = self._coerce(other)
+        if peer is None:
+            return NotImplemented
+        out = dict(self.terms)
+        for key, value in peer.terms.items():
+            _accumulate(out, key, value)
+        return self._new(out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._new({key: -value for key, value in self.terms.items()})
+
+    def __sub__(self, other):
+        peer = self._coerce(other)
+        if peer is None:
+            return NotImplemented
+        return self + (-peer)
+
+    def __rsub__(self, other):
+        peer = self._coerce(other)
+        if peer is None:
+            return NotImplemented
+        return peer + (-self)
+
+    def __pow__(self, k: int):
+        if not isinstance(k, int) or k < 0:
+            raise ValueError("exponent must be a nonnegative integer")
+        result = self._scalar(_ONE)
+        base = self
+        while k:
+            if k & 1:
+                result = result * base
+            base = base * base if k > 1 else base
+            k >>= 1
+        return result
+
+
+class LaurentPoly(SparseTerms):
     """Finitely supported Laurent polynomial in a fixed set of variables.
 
     Terms are a sparse map from integer exponent vectors (negative entries
     allowed) to nonzero coefficients.  Instances are immutable by
-    convention: no method mutates ``self``.
+    convention: no method mutates ``self``.  Scalars multiply and compare
+    as constants, but ``+`` and ``-`` take polynomials only.
     """
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars",)
 
     def __init__(self, nvars: int, terms=None):
         self.nvars = nvars
@@ -108,6 +209,7 @@ class LaurentPoly:
                     raise ValueError(
                         f"exponent vector {exps} has length {len(exps)}, expected {nvars}"
                     )
+                _refuse_float(coeff)
                 if coeff:
                     clean[exps] = coeff
         self.terms = clean
@@ -133,96 +235,48 @@ class LaurentPoly:
     def coeff(self, exps):
         return self.terms.get(tuple(exps), _ZERO)
 
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                return not self.terms
-            return self.terms == {(0,) * self.nvars: other}
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
-
-    __hash__ = None
-
     def _check(self, other):
         if self.nvars != other.nvars:
             raise ValueError("mixed variable counts: %d vs %d" % (self.nvars, other.nvars))
 
-    def __add__(self, other):
+    def _coerce(self, other):
         if not isinstance(other, LaurentPoly):
-            return NotImplemented
+            return None
         self._check(other)
-        out = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            acc = out.get(exps, _ZERO) + coeff
-            if acc:
-                out[exps] = acc
-            else:
-                out.pop(exps, None)
-        res = LaurentPoly(self.nvars)
-        res.terms = out
-        return res
+        return other
 
-    def __neg__(self):
-        res = LaurentPoly(self.nvars)
-        res.terms = {e: -c for e, c in self.terms.items()}
-        return res
+    def _scalar(self, value):
+        return LaurentPoly.constant(self.nvars, value)
 
-    def __sub__(self, other):
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self + (-other)
+    def _new(self, terms):
+        res = object.__new__(LaurentPoly)
+        res.nvars = self.nvars
+        res.terms = terms
+        return res
 
     def __mul__(self, other):
         if not isinstance(other, LaurentPoly):
             # ring-element or rational scalar
-            res = LaurentPoly(self.nvars)
-            if other:
-                res.terms = {e: c * other for e, c in self.terms.items() if c * other}
-            return res
+            _refuse_float(other)
+            if not other:
+                return self._new({})
+            return self._new({e: p for e, c in self.terms.items() if (p := c * other)})
         self._check(other)
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                prod = c1 * c2
-                if not prod:
-                    continue
-                key = _tadd(e1, e2)
-                acc = out.get(key, _ZERO) + prod
-                if acc:
-                    out[key] = acc
-                else:
-                    out.pop(key, None)
-        res = LaurentPoly(self.nvars)
-        res.terms = out
-        return res
+                _accumulate(out, _tadd(e1, e2), c1 * c2)
+        return self._new(out)
 
     def __rmul__(self, other):
-        res = LaurentPoly(self.nvars)
-        if other:
-            res.terms = {e: other * c for e, c in self.terms.items() if other * c}
-        return res
-
-    def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        result = LaurentPoly.constant(self.nvars, _ONE)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
+        _refuse_float(other)
+        if not other:
+            return self._new({})
+        return self._new({e: p for e, c in self.terms.items() if (p := other * c)})
 
     def invert_variables(self) -> "LaurentPoly":
         """Substitute t_i -> 1/t_i for every variable."""
-        res = LaurentPoly(self.nvars)
-        res.terms = {tuple(-x for x in e): c for e, c in self.terms.items()}
-        return res
+        return self._new({tuple(-x for x in e): c for e, c in self.terms.items()})
 
     def permute_variables(self, perm) -> "LaurentPoly":
         """Apply t_i -> t_{perm[i]}; ``perm`` must be a permutation of 0..nvars-1."""
@@ -231,20 +285,11 @@ class LaurentPoly:
             new = [0] * self.nvars
             for i, e in enumerate(exps):
                 new[perm[i]] = e
-            key = tuple(new)
-            acc = out.get(key, _ZERO) + coeff
-            if acc:
-                out[key] = acc
-            else:
-                out.pop(key, None)
-        res = LaurentPoly(self.nvars)
-        res.terms = out
-        return res
+            _accumulate(out, tuple(new), coeff)
+        return self._new(out)
 
     def truncate_total_degree(self, bound: int) -> "LaurentPoly":
-        res = LaurentPoly(self.nvars)
-        res.terms = {e: c for e, c in self.terms.items() if sum(e) <= bound}
-        return res
+        return self._new({e: c for e, c in self.terms.items() if sum(e) <= bound})
 
     def divexact(self, divisor: "LaurentPoly") -> "LaurentPoly":
         """Exact division of polynomials with rational coefficients.
@@ -276,17 +321,12 @@ class LaurentPoly:
                     qc = Fraction(c, lead_coeff)
             else:
                 qc = c / lead_coeff
-            quot[q] = quot.get(q, _ZERO) + qc
+            _accumulate(quot, q, qc)
             for e, dc in divisor.terms.items():
                 if e == lead:
                     continue  # canceled exactly by the pop above
-                key = _tadd(q, e)
-                acc = rem.get(key, _ZERO) - qc * dc
-                if acc:
-                    rem[key] = acc
-                else:
-                    rem.pop(key, None)
-        return LaurentPoly(self.nvars, quot)
+                _accumulate(rem, _tadd(q, e), -(qc * dc))
+        return self._new(quot)
 
     def __repr__(self):
         if not self.terms:
@@ -294,17 +334,18 @@ class LaurentPoly:
         bits = []
         for exps in sorted(self.terms, key=lambda e: (sum(e), e), reverse=True):
             coeff = self.terms[exps]
+            text = exact_str(coeff) if isinstance(coeff, (int, Fraction)) else repr(coeff)
             mono = "*".join(
                 f"t{i}" if e == 1 else f"t{i}^{e}" for i, e in enumerate(exps) if e
             )
             if not mono:
-                bits.append(str(coeff))
+                bits.append(text)
             elif coeff == 1:
                 bits.append(mono)
             elif coeff == -1:
                 bits.append("-" + mono)
             else:
-                bits.append(f"{coeff}*{mono}")
+                bits.append(f"{text}*{mono}")
         return " + ".join(bits).replace("+ -", "- ")
 
 
@@ -403,17 +444,7 @@ def _det_subsets(rows):
                     continue
                 below = bin(mask & (bit - 1)).count("1")
                 term = value * entry
-                if (i + below) % 2:
-                    term = -term
-                key = mask | bit
-                if key in nxt:
-                    acc = nxt[key] + term
-                    if acc:
-                        nxt[key] = acc
-                    else:
-                        del nxt[key]
-                else:
-                    nxt[key] = term
+                _accumulate(nxt, mask | bit, -term if (i + below) % 2 else term)
         state = nxt
     full = (1 << n) - 1
     if full in state:

@@ -2,16 +2,14 @@
 suites, shared by the test suite and the ``verify`` / ``identity-check``
 commands.
 
-Every check is exact (tolerance zero).  Cases are independent and run
-concurrently; each builds its own flag ring, so nothing is shared
-between workers, and results are ordered by case key for reproducible
-output.
+Every check is exact (tolerance zero).  Cases run one after another in
+this process; each builds its own flag ring, and results are ordered by
+case key for reproducible output.
 """
 
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import permutations
 
@@ -109,30 +107,19 @@ def check_fourway(bundle, d: int) -> CaseResult:
     return CaseResult(key, True)
 
 
-def _run_cases(jobs, max_workers=None):
-    """Run (key, thunk) jobs concurrently, returning results sorted by key."""
-    if max_workers == 1 or len(jobs) == 1:
-        results = [thunk() for _, thunk in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=max_workers or 4) as pool:
-            results = list(pool.map(lambda job: job[1](), jobs))
-    return sorted(results, key=lambda res: res.key)
-
-
 def run_agreement_grid(
     max_rank: int = DEFAULT_MAX_RANK,
     truncation: int = DEFAULT_TRUNCATION,
-    max_workers=None,
 ):
     """Four-way agreement for every 1 <= d <= r <= max_rank on the formal
     model and the three split bundles."""
-    jobs = []
-    for rank in range(1, max_rank + 1):
-        for bundle in grid_bundles(rank, truncation):
-            for d in range(1, rank + 1):
-                key = f"agreement r={rank} d={d} {bundle.label}"
-                jobs.append((key, lambda b=bundle, dd=d: check_fourway(b, dd)))
-    return _run_cases(jobs, max_workers)
+    results = [
+        check_fourway(bundle, d)
+        for rank in range(1, max_rank + 1)
+        for bundle in grid_bundles(rank, truncation)
+        for d in range(1, rank + 1)
+    ]
+    return sorted(results, key=lambda res: res.key)
 
 
 def run_monomial_grid(
@@ -140,7 +127,6 @@ def run_monomial_grid(
     truncation: int = DEFAULT_TRUNCATION,
     trials: int = 100,
     seed: int = 2024,
-    max_workers=None,
 ):
     """Triple agreement (constant term, determinant, oracle) for random
     monomial push-forwards, per (r, d) on the formal model."""
@@ -161,12 +147,10 @@ def run_monomial_grid(
                 )
         return CaseResult(key, True)
 
-    jobs = [
-        (f"monomials r={rank} d={d}", lambda r=rank, dd=d: one_case(r, dd))
-        for rank in range(1, max_rank + 1)
-        for d in range(1, rank + 1)
+    results = [
+        one_case(rank, d) for rank in range(1, max_rank + 1) for d in range(1, rank + 1)
     ]
-    return _run_cases(jobs, max_workers)
+    return sorted(results, key=lambda res: res.key)
 
 
 def _random_laurent(rng, nvars, nterms=4, low=-3, high=5, coeff_bound=9):
@@ -322,12 +306,11 @@ def run_degree_suite():
 
 
 def run_all(max_rank: int = DEFAULT_MAX_RANK, truncation: int = DEFAULT_TRUNCATION,
-            seed: int = 11, max_workers=None):
+            seed: int = 11):
     """Everything the ``verify`` command runs, in report order."""
     results = []
-    results.extend(run_agreement_grid(max_rank, truncation, max_workers))
-    results.extend(run_monomial_grid(max_rank, truncation, trials=20, seed=seed,
-                                     max_workers=max_workers))
+    results.extend(run_agreement_grid(max_rank, truncation))
+    results.extend(run_monomial_grid(max_rank, truncation, trials=20, seed=seed))
     results.extend(run_phi_suite(seed=seed))
     results.extend(run_identity_suite(seed=seed))
     results.extend(run_degree_suite())

@@ -138,12 +138,12 @@ class TestVerifyCommand:
         assert "checks passed" in out
         assert "FAIL" not in out
 
-    def test_serial_worker_path(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "verify", "--max-rank", "1", "--truncation", "1", "--jobs", "1"
-        )
-        assert code == 0
-        assert "FAIL" not in out
+    def test_jobs_flag_is_unknown(self, capsys):
+        # verify runs its cases serially; --jobs is refused as an unknown flag
+        with pytest.raises(SystemExit) as info:
+            main(["verify", "--jobs", "2"])
+        assert info.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
 
     def test_json_output(self, capsys):
         code, out, _ = run_cli(
@@ -189,6 +189,24 @@ class TestConfigFile:
         )
         assert code == 0
         assert "degree = 2" in out
+
+    def test_formal_bundle_from_file_without_the_flag(self, capsys, tmp_path):
+        cfg = tmp_path / "job.ini"
+        cfg.write_text(
+            "[job]\ncommand = chern-pushforward\n\n"
+            "[base]\nkind = formal\ndim = 2\n\n"
+            "[bundle]\nrank = 3\nformal = true\n\n"
+            "[options]\nd = 1\nformat = json\n"
+        )
+        code, from_file, _ = run_cli(capsys, "chern-pushforward", "--config", str(cfg))
+        assert code == 0
+        code, from_flags, _ = run_cli(
+            capsys, "chern-pushforward", "--base", "formal", "--base-dim", "2",
+            "--rank", "3", "--formal-bundle", "-d", "1", "--format", "json",
+        )
+        assert code == 0
+        assert from_file == from_flags
+        assert "formal rank 3" in from_file
 
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "degree", "--config", "/nonexistent/job.ini")
@@ -273,8 +291,9 @@ class TestZeroAndNegativeValues:
         (("identity-check", "--trials", "0"), "options.trials"),
         (("verify", "--max-rank", "0"), "options.max-rank"),
         (("verify", "--truncation", "-1"), "options.truncation"),
-        (("verify", "--jobs", "0"), "options.jobs"),
-        (("verify", "--jobs", "-1"), "options.jobs"),
+        (("identity-check", "--truncation", "-1"), "options.truncation"),
+        (("chern-pushforward", "--base", "formal", "--truncation", "-1", "--rank", "2",
+          "--formal-bundle", "-d", "1"), "options.truncation"),
         (("chern-pushforward", "--base", "formal", "--families", "0", "--rank", "2",
           "--formal-bundle", "-d", "1"), "base.families"),
         (("degree", "--base", "projective", "--base-dim", "-1", "--rank", "2", "-d", "1"),
@@ -352,7 +371,7 @@ class TestDeterminism:
         assert out_a == out_b
 
     def test_verify_deterministic_ordering(self, capsys):
-        argv = ["verify", "--max-rank", "2", "--truncation", "1", "--jobs", "3"]
+        argv = ["verify", "--max-rank", "2", "--truncation", "1"]
         _, out_a, _ = run_cli(capsys, *argv)
         _, out_b, _ = run_cli(capsys, *argv)
         assert out_a == out_b

@@ -266,6 +266,26 @@ class TestExactStr:
         assert exact_str(Fraction(1, 10 ** 6000)) == "1/1" + "0" * 6000
 
 
+class TestLaurentRepr:
+    def test_spot_checks(self):
+        assert repr(LaurentPoly.zero(2)) == "0"
+        f = LaurentPoly(2, {(1, 0): Fraction(3, 2), (0, 1): -1, (0, 0): 7})
+        assert repr(f) == "3/2*t0 - t1 + 7"
+
+    def test_values_past_the_int_str_limit(self):
+        big = 10 ** 5000
+        assert repr(LaurentPoly.constant(1, big)) == "1" + "0" * 5000
+        assert repr(LaurentPoly.monomial(1, (2,), -big)) == "-1" + "0" * 5000 + "*t0^2"
+        assert repr(LaurentPoly.constant(1, Fraction(1, big))) == "1/1" + "0" * 5000
+
+    def test_ring_element_coefficients(self):
+        from plucker.chow import projective_space
+
+        h = projective_space(2).hyperplane()
+        f = LaurentPoly(1, {(1,): h * 2, (0,): h + 1})
+        assert repr(f) == "2*h*t0 + 1 + h"
+
+
 class TestVariableMaps:
     def test_permute_variables(self):
         f = lp(3, {(2, 1, 0): 5})

@@ -1,0 +1,207 @@
+"""The shared sparse-term contract of LaurentPoly, GradedElement and
+FlagRingElement: additive laws, zero pruning, scalar coercion, parent
+checks, unhashability and the refusal of floats."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from plucker.chow import (
+    BundleModel,
+    FlagRing,
+    FlagRingElement,
+    GradedElement,
+    formal_segre,
+    point,
+    projective_space,
+)
+from plucker.exact import LaurentPoly, exponent_vectors
+
+COEFFS = st.one_of(
+    st.integers(min_value=-6, max_value=6),
+    st.builds(Fraction, st.integers(min_value=-6, max_value=6), st.integers(1, 4)),
+)
+MODELS = (point(), projective_space(2), formal_segre(3), formal_segre(2, families=2))
+
+
+def _graded(draw, model):
+    vectors = list(exponent_vectors(len(model.gen_names), max_total=model.n))
+    terms = draw(st.dictionaries(st.sampled_from(vectors), COEFFS, max_size=5))
+    return GradedElement(model, terms)
+
+
+def _laurent(draw, nvars):
+    vectors = st.tuples(*[st.integers(min_value=-2, max_value=3)] * nvars)
+    return LaurentPoly(nvars, draw(st.dictionaries(vectors, COEFFS, max_size=4)))
+
+
+def _flag_ring(draw):
+    rank = draw(st.integers(min_value=1, max_value=4))
+    kind = draw(st.sampled_from(("formal", "split")))
+    if kind == "formal":
+        bundle = BundleModel.formal(formal_segre(2), rank)
+    else:
+        roots = [draw(st.integers(min_value=-2, max_value=2)) for _ in range(rank)]
+        bundle = BundleModel.from_chern_roots(projective_space(2), roots)
+    return FlagRing(bundle, draw(st.integers(min_value=1, max_value=rank)))
+
+
+def _flag(draw, ring):
+    monomials = st.tuples(*[st.integers(min_value=0, max_value=ring.bundle.rank)] * ring.d)
+    keys = draw(st.lists(monomials, max_size=3, unique=True))
+    return ring.from_terms({key: _graded(draw, ring.bundle.base) for key in keys})
+
+
+@st.composite
+def pairs(draw):
+    """Two elements with one parent, of one of the three types."""
+    kind = draw(st.sampled_from(("laurent", "graded", "flag")))
+    if kind == "laurent":
+        nvars = draw(st.integers(min_value=1, max_value=3))
+        return _laurent(draw, nvars), _laurent(draw, nvars)
+    if kind == "graded":
+        model = draw(st.sampled_from(MODELS))
+        return _graded(draw, model), _graded(draw, model)
+    ring = _flag_ring(draw)
+    return _flag(draw, ring), _flag(draw, ring)
+
+
+def _no_stored_zero(elem):
+    return all(bool(c) for c in elem.terms.values())
+
+
+@given(pairs())
+@settings(max_examples=80, deadline=None)
+def test_add_then_subtract_is_identity(pair):
+    a, b = pair
+    assert a + b - b == a
+    assert b + a == a + b
+    assert -(-a) == a
+
+
+@given(pairs())
+@settings(max_examples=80, deadline=None)
+def test_self_difference_is_empty(pair):
+    a, _ = pair
+    diff = a - a
+    assert not diff
+    assert diff.terms == {}
+    assert not (a + (-a))
+
+
+@given(pairs(), st.integers(min_value=0, max_value=3))
+@settings(max_examples=80, deadline=None)
+def test_no_stored_zero_coefficient(pair, k):
+    a, b = pair
+    for result in (a + b, a - b, a * b, a ** k, -a):
+        assert _no_stored_zero(result)
+        assert type(result) is type(a)
+
+
+@given(pairs(), st.integers(min_value=0, max_value=4))
+@settings(max_examples=40, deadline=None)
+def test_power_is_repeated_product(pair, k):
+    a, _ = pair
+    expected = a ** 0
+    for _ in range(k):
+        expected = expected * a
+    assert a ** k == expected
+
+
+@given(st.data(), COEFFS)
+@settings(max_examples=60, deadline=None)
+def test_scalar_coercion_on_both_sides(data, q):
+    kind = data.draw(st.sampled_from(("graded", "flag")))
+    if kind == "graded":
+        model = data.draw(st.sampled_from(MODELS))
+        a = _graded(data.draw, model)
+        as_element = model.scalar(q)
+    else:
+        ring = _flag_ring(data.draw)
+        a = _flag(data.draw, ring)
+        as_element = ring.scalar(q)
+    assert a + q == q + a == a + as_element
+    assert a - q == a - as_element
+    assert q - a == as_element - a
+    assert a * q == q * a == a * as_element
+    assert (as_element == q) and (q == as_element)
+    assert _no_stored_zero(a * q) and _no_stored_zero(q - a)
+
+
+@given(st.data(), COEFFS)
+@settings(max_examples=40, deadline=None)
+def test_laurent_scalars_multiply_and_compare_but_do_not_add(data, q):
+    a = _laurent(data.draw, 2)
+    assert a * q == q * a == a * LaurentPoly.constant(2, q)
+    assert _no_stored_zero(a * q)
+    assert LaurentPoly.constant(2, q) == q
+    with pytest.raises(TypeError):
+        a + 1
+    with pytest.raises(TypeError):
+        1 - a
+
+
+def test_flag_ring_mixed_with_flag_ring_of_another_bundle_refused():
+    one = FlagRing(BundleModel.formal(formal_segre(2), 3), 2).one()
+    other = FlagRing(BundleModel.formal(formal_segre(2), 3), 2).one()
+    for op in (
+        lambda: one + other,
+        lambda: one - other,
+        lambda: one * other,
+        lambda: one == other,
+    ):
+        with pytest.raises(ValueError, match="different flag rings"):
+            op()
+
+
+def test_flag_rings_of_one_bundle_and_corank_mix():
+    bundle = BundleModel.formal(formal_segre(2), 3)
+    a, b = FlagRing(bundle, 2), FlagRing(bundle, 2)
+    assert a.xi(0) + b.xi(1) == b.theta()
+    with pytest.raises(ValueError, match="different flag rings"):
+        a.one() + FlagRing(bundle, 1).one()
+
+
+def test_parent_mismatch_refused():
+    with pytest.raises(ValueError, match="mixed variable counts"):
+        LaurentPoly.zero(1) - LaurentPoly.zero(2)
+    with pytest.raises(ValueError, match="different base models"):
+        projective_space(1).one() - projective_space(2).one()
+    with pytest.raises(ValueError, match="different base models"):
+        projective_space(1).one() * projective_space(2).one()
+
+
+@pytest.mark.parametrize("elem", [
+    LaurentPoly.constant(2, 1),
+    projective_space(2).hyperplane(),
+    FlagRing(BundleModel.trivial(point(), 3), 1).xi(0),
+], ids=["laurent", "graded", "flag"])
+def test_unhashable(elem):
+    with pytest.raises(TypeError):
+        hash(elem)
+    with pytest.raises(TypeError):
+        {elem}
+
+
+@given(st.floats())
+@settings(max_examples=40, deadline=None)
+def test_no_public_constructor_accepts_a_float(x):
+    base = formal_segre(2)
+    ring = FlagRing(BundleModel.formal(base, 3), 2)
+    poly = LaurentPoly.variable(1, 0)
+    builders = [
+        lambda: LaurentPoly(1, {(0,): x}),
+        lambda: LaurentPoly.constant(2, x),
+        lambda: LaurentPoly.monomial(1, (1,), x),
+        lambda: poly * x,
+        lambda: x * poly,
+        lambda: GradedElement(base, {(1, 0): x}),
+        lambda: base.scalar(x),
+        lambda: FlagRingElement(ring, {(1, 0): x}),
+        lambda: ring.scalar(x),
+        lambda: ring.from_terms({(1, 0): x}),
+    ]
+    for build in builders:
+        with pytest.raises(TypeError):
+            build()
