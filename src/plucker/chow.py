@@ -601,14 +601,11 @@ class FlagRing:
         return acc
 
     def from_terms(self, terms) -> "FlagRingElement":
-        raw = {}
-        for exps, coeff in terms.items():
-            exps = tuple(exps)
-            if any(e < 0 for e in exps):
-                raise ValueError("flag-ring monomials need nonnegative exponents")
-            if not isinstance(coeff, GradedElement):
-                coeff = self.bundle.base.scalar(coeff)
-            _accumulate(raw, exps, coeff)
+        """Normal form of a map from exponent tuples, any of them at or
+        above its bound, to coefficients coerced as by the element."""
+        if any(e < 0 for exps in terms for e in exps):
+            raise ValueError("flag-ring monomials need nonnegative exponents")
+        raw = FlagRingElement(self, terms).terms
         return FlagRingElement(self, self._normalize(raw))
 
     def evaluate_poly(self, poly: LaurentPoly) -> "FlagRingElement":
@@ -653,15 +650,19 @@ class FlagRing:
 
 class FlagRingElement(SparseTerms):
     """Normal-form element of a flag ring: a map from in-bounds exponent
-    tuples to base-ring coefficients."""
+    tuples to base-ring coefficients.  A coefficient that is not a
+    base-ring element goes through the base model's ``scalar``, which
+    refuses floats."""
 
     __slots__ = ("ring",)
 
     def __init__(self, ring: FlagRing, terms):
         self.ring = ring
+        scalar = ring.bundle.base.scalar
         clean = {}
         for exps, coeff in terms.items():
-            _refuse_float(coeff)
+            if not isinstance(coeff, GradedElement):
+                coeff = scalar(coeff)
             if coeff:
                 clean[exps] = coeff
         self.terms = clean

@@ -43,26 +43,36 @@ from . import verify as verify_mod
 # milliseconds; at d(r-d) = 10^6 the closed sum alone runs for minutes.
 MAX_DEGREE_DIMENSION = 2500
 
-# Every option once: its key, ``section.name`` in the INI file, maps to
-# the dest of the flag that overrides it (None: file only), then, for
-# integer options, the default and the minimum that _get_int applies.
+_BUNDLE_COMMANDS = ("degree", "chern-pushforward")
+_ALL_COMMANDS = _BUNDLE_COMMANDS + ("verify", "identity-check")
+
+# Every option once, in --help order.  Its key, ``section.name`` in the
+# INI file, maps to its flag (None: file only), the commands that read
+# it, its kind (int, str, bool for a switch, or a tuple of choices), its
+# default, its minimum (ints only) and its help text.
 _OPTIONS = {
-    "job.command": (None, None, None),
-    "base.kind": ("base", None, None),
-    "base.dim": ("base_dim", None, 0),
-    "base.families": ("families", 1, 1),
-    "bundle.rank": ("rank", None, None),
-    "bundle.roots": ("roots", None, None),
-    "bundle.segre": ("segre", None, None),
-    "bundle.formal": ("formal_bundle", None, None),
-    "bundle.family": ("family", 0, None),
-    "options.d": ("d", None, None),
-    "options.denominator": ("denominator", None, None),
-    "options.format": ("format", None, None),
-    "options.seed": ("seed", 11, None),
-    "options.trials": ("trials", 100, 1),
-    "options.max-rank": ("max_rank", verify_mod.DEFAULT_MAX_RANK, 1),
-    "options.truncation": ("truncation", verify_mod.DEFAULT_TRUNCATION, 0),
+    "job.command": (None, (), str, None, None, None),
+    "options.format": ("--format", _ALL_COMMANDS, ("text", "json"), "text", None, None),
+    "options.seed": ("--seed", ("verify", "identity-check"), int, 11, None, None),
+    "options.trials": ("--trials", ("identity-check",), int, 100, 1, None),
+    "options.truncation": ("--truncation", _ALL_COMMANDS, int, verify_mod.DEFAULT_TRUNCATION, 0,
+                           "formal-model truncation degree"),
+    "base.kind": ("--base", _BUNDLE_COMMANDS, str, None, None,
+                  "point, P<n>, projective, or formal"),
+    "base.dim": ("--base-dim", _BUNDLE_COMMANDS, int, None, 0, None),
+    "base.families": ("--families", _BUNDLE_COMMANDS, int, 1, 1, None),
+    "bundle.rank": ("--rank", _BUNDLE_COMMANDS, int, None, 1, None),
+    "bundle.roots": ("--roots", _BUNDLE_COMMANDS, str, None, None,
+                     "comma-separated integer twists, e.g. 1,1,0"),
+    "bundle.segre": ("--segre", _BUNDLE_COMMANDS, str, None, None,
+                     "comma-separated rationals s_0..s_n, e.g. 1,2,3/2"),
+    "bundle.formal": ("--formal-bundle", _BUNDLE_COMMANDS, bool, False, None,
+                      "use the free Segre generators of a formal base"),
+    "bundle.family": ("--family", _BUNDLE_COMMANDS, int, 0, None, None),
+    "options.d": ("-d --d", _BUNDLE_COMMANDS, int, None, None, "corank"),
+    "options.denominator": ("--denominator", _BUNDLE_COMMANDS, (PROOF, DISPLAYED), PROOF, None,
+                            None),
+    "options.max-rank": ("--max-rank", ("verify",), int, verify_mod.DEFAULT_MAX_RANK, 1, None),
 }
 
 
@@ -77,17 +87,27 @@ def _parse_int(field, raw):
         raise ConfigError(f"{field}: expected an integer, got {raw!r}") from None
 
 
-def _get_int(merged, key):
-    """Integer option ``key``, or its default when it is not given; a
-    given value below its minimum is refused, zero included."""
-    _, default, minimum = _OPTIONS[key]
+def _get(merged, key):
+    """Option ``key`` read by its kind, or its default when it is not
+    given; an empty choice counts as not given.  An int below its
+    minimum is refused, zero included."""
+    _, _, kind, default, minimum, _ = _OPTIONS[key]
     raw = merged.get(key)
     if raw is None:
         return default
-    value = _parse_int(key, raw)
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{key}: must be at least {minimum}, got {value}")
-    return value
+    if kind is int:
+        value = _parse_int(key, raw)
+        if minimum is not None and value < minimum:
+            raise ConfigError(f"{key}: must be at least {minimum}, got {value}")
+        return value
+    if kind is bool:
+        return str(raw).strip().lower() in ("1", "true", "yes", "on")
+    if isinstance(kind, tuple):
+        value = str(raw).strip().lower() or default
+        if value not in kind:
+            raise ConfigError(f"{key}: expected {' or '.join(kind)}, got {value!r}")
+        return value
+    return raw
 
 
 def _parse_fraction(field, raw):
@@ -102,52 +122,64 @@ def _parse_list(raw):
 
 
 def load_config(path: str) -> dict:
-    """Read the INI configuration into a {section: {key: value}} dict."""
+    """Read the UTF-8 INI configuration into a {section: {key: value}}
+    dict, with [DEFAULT] as a section of its own."""
     parser = configparser.ConfigParser()
-    read = parser.read(path)
+    try:
+        read = parser.read(path, encoding="utf-8")
+        config = {section: dict(parser.items(section)) for section in parser}
+    except (configparser.Error, UnicodeDecodeError) as err:
+        detail = " ".join(str(err).split())
+        raise ConfigError(f"config: cannot parse file {path!r}: {detail}") from None
     if not read:
         raise ConfigError(f"config: cannot read file {path!r}")
-    return {section: dict(parser.items(section)) for section in parser.sections()}
+    return config
 
 
 def _merge(config: dict, args) -> dict:
     """Every option key with its flag's value when the flag is given,
-    else the file's value (None when neither gives one)."""
-    merged = {}
-    for key, (dest, _, _) in _OPTIONS.items():
-        section, name = key.split(".", 1)
-        value = getattr(args, dest, None) if dest else None
-        merged[key] = value if value is not None else config.get(section, {}).get(name)
+    else the file's value (None when neither gives one).  A file key
+    outside the option table is refused."""
+    merged = dict.fromkeys(_OPTIONS)
+    for section, values in config.items():
+        for name, value in values.items():
+            key = f"{section}.{name}"
+            if key not in merged:
+                raise ConfigError(f"{key}: unknown key")
+            merged[key] = value
+    for key, (flag, *_) in _OPTIONS.items():
+        # a given flag sits under argparse's dest: its last spelling, dashes dropped
+        value = flag and getattr(args, flag.split()[-1].lstrip("-").replace("-", "_"), None)
+        if value is not None:
+            merged[key] = value
     return merged
 
 
 def build_base(merged: dict):
-    kind = merged.get("base.kind")
+    kind = _get(merged, "base.kind")
     if kind is None:
         raise ConfigError("base.kind: missing (point, projective or formal)")
     kind = str(kind).strip().lower()
     if kind in ("point", "pt"):
         return point()
-    if kind.startswith("p") and kind[1:].isdigit():
+    if kind.startswith("p") and kind[1:].isdecimal():
         return projective_space(int(kind[1:]))
-    dim = _get_int(merged, "base.dim")
+    dim = _get(merged, "base.dim")
     if kind in ("projective", "projective-space"):
         if dim is None:
             raise ConfigError("base.dim: required for a projective-space base")
         return projective_space(dim)
     if kind == "formal":
         if dim is None:
-            dim = _get_int(merged, "options.truncation")
-        return formal_segre(dim, _get_int(merged, "base.families"))
+            dim = _get(merged, "options.truncation")
+        return formal_segre(dim, _get(merged, "base.families"))
     raise ConfigError(f"base.kind: unknown kind {kind!r}")
 
 
 def build_bundle(base, merged: dict):
-    rank_raw = merged.get("bundle.rank")
-    roots_raw = merged.get("bundle.roots")
-    segre_raw = merged.get("bundle.segre")
-    formal_raw = str(merged.get("bundle.formal") or "").strip().lower()
-    wants_formal = formal_raw in ("1", "true", "yes", "on")
+    roots_raw = _get(merged, "bundle.roots")
+    segre_raw = _get(merged, "bundle.segre")
+    wants_formal = _get(merged, "bundle.formal")
 
     given = sum(bool(x) for x in (roots_raw, segre_raw, wants_formal))
     if given > 1:
@@ -155,7 +187,8 @@ def build_bundle(base, merged: dict):
 
     if roots_raw:
         roots = [_parse_int("bundle.roots", bit) for bit in _parse_list(roots_raw)]
-        if rank_raw is not None and _parse_int("bundle.rank", rank_raw) != len(roots):
+        rank = _get(merged, "bundle.rank")
+        if rank is not None and rank != len(roots):
             raise ConfigError("bundle.rank: does not match the number of roots")
         try:
             return BundleModel.from_chern_roots(
@@ -164,16 +197,14 @@ def build_bundle(base, merged: dict):
         except ValueError as err:
             raise ConfigError(f"bundle.roots: {err}") from None
 
-    if rank_raw is None:
+    rank = _get(merged, "bundle.rank")
+    if rank is None:
         raise ConfigError("bundle.rank: missing")
-    rank = _parse_int("bundle.rank", rank_raw)
-    if rank < 1:
-        raise ConfigError("bundle.rank: must be positive")
 
     if wants_formal:
         if base.kind != FORMAL:
             raise ConfigError("bundle.formal: needs a formal base model")
-        family = _get_int(merged, "bundle.family")
+        family = _get(merged, "bundle.family")
         try:
             return BundleModel.formal(base, rank, family)
         except ValueError as err:
@@ -204,27 +235,12 @@ def build_bundle(base, merged: dict):
 
 
 def _get_d(merged, rank):
-    raw = merged.get("options.d")
-    if raw is None:
+    d = _get(merged, "options.d")
+    if d is None:
         raise ConfigError("options.d: missing corank")
-    d = _parse_int("options.d", raw)
     if not 1 <= d <= rank:
         raise ConfigError(f"options.d: need 1 <= d <= rank={rank}, got {d}")
     return d
-
-
-def _get_denominator(merged):
-    raw = str(merged.get("options.denominator") or PROOF).strip().lower()
-    if raw not in (PROOF, DISPLAYED):
-        raise ConfigError(f"options.denominator: expected proof or displayed, got {raw!r}")
-    return raw
-
-
-def _get_format(merged):
-    raw = str(merged.get("options.format") or "text").strip().lower()
-    if raw not in ("text", "json"):
-        raise ConfigError(f"options.format: expected text or json, got {raw!r}")
-    return raw
 
 
 def element_fields(elem):
@@ -264,8 +280,8 @@ def cmd_degree(merged) -> int:
             f"options.d: the Grassmann bundle has dimension d(r-d)+n = {dim}, "
             f"above the limit {MAX_DEGREE_DIMENSION} of the degree command"
         )
-    denominator = _get_denominator(merged)
-    fmt = _get_format(merged)
+    denominator = _get(merged, "options.denominator")
+    fmt = _get(merged, "options.format")
     try:
         result = plucker_degree(bundle, d, denominator)
     except ValueError as err:
@@ -300,8 +316,8 @@ def cmd_chern_pushforward(merged) -> int:
     base = build_base(merged)
     bundle = build_bundle(base, merged)
     d = _get_d(merged, bundle.rank)
-    denominator = _get_denominator(merged)
-    fmt = _get_format(merged)
+    denominator = _get(merged, "options.denominator")
+    fmt = _get(merged, "options.format")
     series = {
         method: ch_pushforward(bundle, d, method, denominator)
         for method in ALL_METHODS
@@ -361,19 +377,19 @@ def _print_results(results, fmt) -> int:
 
 
 def cmd_verify(merged) -> int:
-    fmt = _get_format(merged)
-    max_rank = _get_int(merged, "options.max-rank")
-    truncation = _get_int(merged, "options.truncation")
-    seed = _get_int(merged, "options.seed")
+    fmt = _get(merged, "options.format")
+    max_rank = _get(merged, "options.max-rank")
+    truncation = _get(merged, "options.truncation")
+    seed = _get(merged, "options.seed")
     results = verify_mod.run_all(max_rank, truncation, seed=seed)
     return _print_results(results, fmt)
 
 
 def cmd_identity_check(merged) -> int:
-    fmt = _get_format(merged)
-    seed = _get_int(merged, "options.seed")
-    trials = _get_int(merged, "options.trials")
-    truncation = _get_int(merged, "options.truncation")
+    fmt = _get(merged, "options.format")
+    seed = _get(merged, "options.seed")
+    trials = _get(merged, "options.trials")
+    truncation = _get(merged, "options.truncation")
     results = []
     results.extend(verify_mod.run_phi_suite(seed=seed))
     results.extend(
@@ -387,75 +403,54 @@ def cmd_identity_check(merged) -> int:
     return _print_results(results, fmt)
 
 
+_COMMANDS = {
+    "degree": (cmd_degree, "Pluecker degree of a Grassmann bundle"),
+    "chern-pushforward": (cmd_chern_pushforward,
+                          "pushed-forward Chern character, four methods"),
+    "verify": (cmd_verify, "agreement grid and identity suites"),
+    "identity-check": (cmd_identity_check, "identity suites only"),
+}
+
+
 def build_parser():
+    """One subparser per command, with a flag for each option that the
+    command reads."""
     parser = argparse.ArgumentParser(
         prog="plucker",
         description="Exact push-forward and degree calculator for Grassmann bundles.",
     )
     parser.add_argument("--config", default=None, help="INI configuration file")
     sub = parser.add_subparsers(dest="command")
-
-    def common(p, with_bundle=True):
+    for command, (_, summary) in _COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
         # SUPPRESS keeps a top-level --config visible when the flag is
         # repeated after the subcommand
-        p.add_argument("--config", default=argparse.SUPPRESS,
-                       help="INI configuration file")
-        p.add_argument("--format", choices=("text", "json"), default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--trials", type=int, default=None)
-        p.add_argument("--truncation", type=int, default=None,
-                       help="formal-model truncation degree")
-        if with_bundle:
-            p.add_argument("--base", default=None,
-                           help="point, P<n>, projective, or formal")
-            p.add_argument("--base-dim", type=int, default=None)
-            p.add_argument("--families", type=int, default=None)
-            p.add_argument("--rank", type=int, default=None)
-            p.add_argument("--roots", default=None,
-                           help="comma-separated integer twists, e.g. 1,1,0")
-            p.add_argument("--segre", default=None,
-                           help="comma-separated rationals s_0..s_n, e.g. 1,2,3/2")
-            p.add_argument("--formal-bundle", action="store_true", default=None,
-                           help="use the free Segre generators of a formal base")
-            p.add_argument("--family", type=int, default=None)
-            p.add_argument("-d", "--d", type=int, default=None, help="corank")
-            p.add_argument("--denominator", choices=(PROOF, DISPLAYED), default=None)
-
-    p_degree = sub.add_parser("degree", help="Pluecker degree of a Grassmann bundle")
-    common(p_degree)
-    p_ch = sub.add_parser("chern-pushforward",
-                          help="pushed-forward Chern character, four methods")
-    common(p_ch)
-    p_verify = sub.add_parser("verify", help="agreement grid and identity suites")
-    common(p_verify, with_bundle=False)
-    p_verify.add_argument("--max-rank", type=int, default=None)
-    p_id = sub.add_parser("identity-check", help="identity suites only")
-    common(p_id, with_bundle=False)
+        p.add_argument("--config", default=argparse.SUPPRESS, help="INI configuration file")
+        for flag, commands, kind, _, _, text in _OPTIONS.values():
+            if command not in commands:
+                continue
+            if kind is bool:
+                extra = {"action": "store_true"}
+            elif kind is int:
+                extra = {"type": int}
+            else:
+                extra = {"choices": kind if isinstance(kind, tuple) else None}
+            p.add_argument(*flag.split(), default=None, help=text, **extra)
     return parser
 
 
-_COMMANDS = {
-    "degree": cmd_degree,
-    "chern-pushforward": cmd_chern_pushforward,
-    "verify": cmd_verify,
-    "identity-check": cmd_identity_check,
-}
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        config_path = getattr(args, "config", None)
-        config = load_config(config_path) if config_path else {}
+        config = load_config(args.config) if args.config else {}
         merged = _merge(config, args)
-        command = args.command or merged.get("job.command")
+        command = args.command or _get(merged, "job.command")
         if command is None:
             raise ConfigError("job.command: missing (give a subcommand or set it in the config)")
         command = str(command).strip()
         if command not in _COMMANDS:
             raise ConfigError(f"job.command: unknown command {command!r}")
-        return _COMMANDS[command](merged)
+        return _COMMANDS[command][0](merged)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2

@@ -16,8 +16,8 @@ from fractions import Fraction
 from math import factorial
 
 from .chow import FORMAL, integrate
-from .exact import exact_str, exponent_vectors
-from .pushforward import PROOF, closed_term_coefficient
+from .exact import exact_str
+from .pushforward import PROOF, _closed_terms
 from .symfunc import syt_count
 
 
@@ -58,17 +58,7 @@ def plucker_degree(bundle, d: int, denominator: str = PROOF) -> DegreeResult:
     scale = Fraction(factorial(d * (r - d) + n))
     breakdown = []
     total = Fraction(0)
-    for k in exponent_vectors(d, max_total=n):
-        if sum(k) != n:
-            continue
-        coeff = closed_term_coefficient(k, r, denominator)
-        if not coeff:
-            continue
-        cls = base.one()
-        for ki in k:
-            cls = cls * bundle.segre_class(ki)
-            if not cls:
-                break
+    for k, coeff, cls in _closed_terms(bundle, d, denominator, total=n):
         value = scale * coeff * integrate(cls)
         if value:
             breakdown.append((k, value))

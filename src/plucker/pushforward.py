@@ -26,7 +26,7 @@ from math import factorial, lcm
 
 from .chow import FlagRing, GradedElement
 from .exact import LaurentPoly, const_of_product, det, exponent_vectors, inv_factorial, vandermonde
-from .symfunc import partitions_up_to, schur_delta, segre_series_poly, syt_count, weight
+from .symfunc import partitions_up_to, schur_delta, segre_product, syt_count, weight
 
 _ZERO = Fraction(0)
 
@@ -120,9 +120,7 @@ def monomial_pushforward_ct(p, bundle, d: int) -> GradedElement:
     if len(p) != d or any(e < 0 for e in p):
         raise ValueError("need d nonnegative exponents")
     r = bundle.rank
-    f = LaurentPoly.constant(d, bundle.base.one())
-    for i in range(d):
-        f = f * segre_series_poly(bundle, d, i, shift=-p[i] + r - d)
+    f = segre_product(bundle, [-p[i] + r - d for i in range(d)])
     return _as_element(bundle.base, const_of_product(vandermonde(d), f))
 
 
@@ -147,10 +145,7 @@ def pushforward_polynomial(F: LaurentPoly, bundle, d: int) -> GradedElement:
         raise ValueError("variable count mismatch")
     if any(e < 0 for exps in F.terms for e in exps):
         raise ValueError("F must be a polynomial, found a negative exponent")
-    r = bundle.rank
-    f = F.invert_variables()
-    for i in range(d):
-        f = f * segre_series_poly(bundle, d, i, shift=r - d)
+    f = F.invert_variables() * segre_product(bundle, (bundle.rank - d,) * d)
     return _as_element(bundle.base, const_of_product(vandermonde(d), f))
 
 
@@ -218,17 +213,13 @@ def closed_term_coefficient(k, r: int, denominator: str = PROOF) -> Fraction:
     return Fraction(num, den)
 
 
-def ch_pushforward_closed(bundle, d: int, denominator: str = PROOF) -> PushforwardSeries:
-    """Closed-sum route: sum over k in Z_{>=0}^d of the factorial weight
-    times prod s_{k_i}(E).  Exponents with |k| > n only feed degrees that
-    are zero by truncation, so the sum stops at |k| = n."""
-    r = bundle.rank
-    if not 1 <= d <= r:
-        raise ValueError("need 1 <= d <= rank")
-    n = bundle.base.n
-    comps = {m: bundle.base.zero() for m in range(n + 1)}
-    for k in exponent_vectors(d, max_total=n):
-        coeff = closed_term_coefficient(k, r, denominator)
+def _closed_terms(bundle, d: int, denominator: str, total=None):
+    """The nonzero terms (k, weight, prod s_{k_i}(E)) of the closed sum,
+    over exponent vectors k with |k| <= n, or only |k| == total."""
+    for k in exponent_vectors(d, max_total=bundle.base.n):
+        if total is not None and sum(k) != total:
+            continue
+        coeff = closed_term_coefficient(k, bundle.rank, denominator)
         if not coeff:
             continue
         term = bundle.base.one()
@@ -237,7 +228,18 @@ def ch_pushforward_closed(bundle, d: int, denominator: str = PROOF) -> Pushforwa
             if not term:
                 break
         if term:
-            comps[sum(k)] = comps[sum(k)] + term * coeff
+            yield k, coeff, term
+
+
+def ch_pushforward_closed(bundle, d: int, denominator: str = PROOF) -> PushforwardSeries:
+    """Closed-sum route: sum over k in Z_{>=0}^d of the factorial weight
+    times prod s_{k_i}(E).  Exponents with |k| > n only feed degrees that
+    are zero by truncation, so the sum stops at |k| = n."""
+    if not 1 <= d <= bundle.rank:
+        raise ValueError("need 1 <= d <= rank")
+    comps = {m: bundle.base.zero() for m in range(bundle.base.n + 1)}
+    for k, coeff, term in _closed_terms(bundle, d, denominator):
+        comps[sum(k)] = comps[sum(k)] + term * coeff
     return PushforwardSeries(bundle, d, "closed", comps)
 
 
@@ -267,9 +269,7 @@ def ch_pushforward_constterm(bundle, d: int) -> PushforwardSeries:
     if not 1 <= d <= r:
         raise ValueError("need 1 <= d <= rank")
     n = bundle.base.n
-    f = LaurentPoly.constant(d, bundle.base.one())
-    for i in range(d):
-        f = f * segre_series_poly(bundle, d, i, shift=r - d - (d - 1 - i))
+    f = segre_product(bundle, [r - d - (d - 1 - i) for i in range(d)])
     value = _as_element(bundle.base, phi(f, d))
     comps = {m: value.component(m) for m in range(n + 1)}
     return PushforwardSeries(bundle, d, "constterm", comps)

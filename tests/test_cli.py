@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import re
 import subprocess
@@ -387,3 +389,137 @@ def test_console_entry_point_installed():
     )
     assert proc.returncode == 0
     assert "degree = 2" in proc.stdout
+
+
+class TestOptionTable:
+    """Each command takes a flag only for an option it reads, and the
+    INI file may set only keys of the option table."""
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--trials", "0"),
+        ("degree", "--base", "point", "--rank", "4", "-d", "2", "--seed", "3"),
+        ("degree", "--base", "point", "--rank", "4", "-d", "2", "--trials", "3"),
+        ("chern-pushforward", "--base", "P1", "--roots", "1,1", "-d", "1", "--seed", "3"),
+        ("chern-pushforward", "--base", "P1", "--roots", "1,1", "-d", "1", "--trials", "3"),
+    ])
+    def test_flag_the_command_never_reads_refused(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            main(list(argv))
+        assert info.value.code == 2
+        assert argv[-2] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, name", [
+        ("bundle", "rnak"),
+        ("options", "denominatr"),
+        ("options", "jobs"),
+        ("jbo", "command"),
+        ("DEFAULT", "rank"),
+    ])
+    def test_unknown_key_refused(self, capsys, tmp_path, section, name):
+        sections = {"job": ["command = degree"], "base": ["kind = point"],
+                    "bundle": ["rank = 4"], "options": ["d = 2"]}
+        sections.setdefault(section, []).append(f"{name} = 9")
+        cfg = tmp_path / "job.ini"
+        cfg.write_text("".join(
+            f"[{head}]\n" + "".join(line + "\n" for line in lines)
+            for head, lines in sections.items()
+        ))
+        code, out, err = run_cli(capsys, "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert f"{section}.{name}: unknown key" in err
+
+    def test_key_of_another_command_accepted(self, capsys, tmp_path):
+        # one file may serve several commands
+        cfg = tmp_path / "job.ini"
+        cfg.write_text(
+            "[base]\nkind = point\n\n[bundle]\nrank = 4\n\n"
+            "[options]\nd = 2\nseed = 5\ntrials = 0\nmax-rank = 0\n"
+        )
+        code, out, _ = run_cli(capsys, "degree", "--config", str(cfg))
+        assert code == 0
+        assert "degree = 2" in out
+
+    def test_empty_choice_means_not_given(self, capsys, tmp_path):
+        cfg = tmp_path / "job.ini"
+        cfg.write_text(
+            "[base]\nkind = point\n\n[bundle]\nrank = 4\n\n"
+            "[options]\nd = 2\nformat =\ndenominator =\n"
+        )
+        code, out, _ = run_cli(capsys, "degree", "--config", str(cfg))
+        assert code == 0
+        assert "denominator variant: proof" in out
+
+    BUNDLE_READS = {"base.kind", "base.dim", "base.families", "options.truncation",
+                    "bundle.rank", "bundle.roots", "bundle.segre", "bundle.formal",
+                    "bundle.family", "options.d", "options.denominator", "options.format"}
+
+    @pytest.mark.parametrize("command, reads", [
+        ("degree", BUNDLE_READS),
+        ("chern-pushforward", BUNDLE_READS),
+        ("verify", {"options.format", "options.max-rank", "options.truncation",
+                    "options.seed"}),
+        ("identity-check", {"options.format", "options.seed", "options.trials",
+                            "options.truncation"}),
+    ])
+    def test_commands_read_what_the_table_lists(self, monkeypatch, command, reads):
+        from plucker import cli, verify
+
+        for name in ("run_all", "run_phi_suite", "run_identity_suite"):
+            monkeypatch.setattr(verify, name, lambda *args, **kwargs: [])
+        seen = set()
+        real_get = cli._get
+
+        def recording(merged, key):
+            seen.add(key)
+            return real_get(merged, key)
+
+        monkeypatch.setattr(cli, "_get", recording)
+        merged = dict.fromkeys(cli._OPTIONS)
+        if command in ("degree", "chern-pushforward"):
+            # a formal bundle over a formal base reads every base and bundle
+            # key; the degree command then refuses the formal base
+            merged.update({"base.kind": "formal", "bundle.rank": "2",
+                           "bundle.formal": "1", "options.d": "1"})
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                cli._COMMANDS[command][0](merged)
+        except cli.ConfigError:
+            pass
+        assert seen == reads
+        listed = {key for key, row in cli._OPTIONS.items() if command in row[1]}
+        assert seen == listed
+
+    def test_readme_lists_every_key(self, tmp_path):
+        from pathlib import Path
+
+        from plucker import cli
+
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        path = tmp_path / "readme.ini"
+        path.write_text(readme.split("```ini\n", 1)[1].split("```", 1)[0])
+        config = cli.load_config(str(path))
+        keys = {f"{section}.{name}" for section, values in config.items() for name in values}
+        assert keys == set(cli._OPTIONS)
+        # configparser keeps an inline comment as part of the value
+        assert not any(";" in value for values in config.values() for value in values.values())
+
+
+class TestMalformedConfig:
+    """A file configparser cannot read exits 2 naming the file."""
+
+    @pytest.mark.parametrize("content", [
+        b"rank = 3\n",                                      # no section header
+        b"[bundle]\nrank = 3\nrank = 4\n",                  # repeated key
+        b"[bundle]\nrank = 3\nthis line has no equals\n",   # no delimiter
+        b"[bundle]\nrank = \xff\xfe\n",                     # not UTF-8
+        b"[bundle]\nsegre = 1, 50%\n",                      # bad interpolation
+    ])
+    def test_exit_2_names_the_file(self, capsys, tmp_path, content):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_bytes(content)
+        code, out, err = run_cli(capsys, "degree", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("config error: config: ")
+        assert str(cfg) in err

@@ -205,3 +205,12 @@ def test_no_public_constructor_accepts_a_float(x):
     for build in builders:
         with pytest.raises(TypeError):
             build()
+
+
+def test_flag_ring_element_coerces_scalar_coefficients():
+    ring = FlagRing(BundleModel.trivial(point(), 3), 1)
+    elem = FlagRingElement(ring, {(1,): 2, (0,): Fraction(1, 2), (2,): 0})
+    assert repr(elem) == "1/2 + 2*x0"
+    assert all(isinstance(c, GradedElement) for c in elem.terms.values())
+    assert elem == ring.from_terms({(1,): 2, (0,): Fraction(1, 2)})
+    assert elem == ring.scalar(Fraction(1, 2)) + ring.xi(0) * 2

@@ -373,3 +373,20 @@ class TestGeneralizedCauchy:
     def test_large_r_capped(self):
         with pytest.raises(ValueError, match="capped"):
             gen_cauchy_check(7, 2, trials=1)
+
+
+def test_segre_product_matches_series_by_series():
+    """segre_product is the product of the shifted Segre series, one
+    variable each."""
+    from plucker.symfunc import segre_product
+
+    E = BundleModel.from_chern_roots(projective_space(2), [1, -1, 2])
+    shifts = (2, -1, 0)
+    expected = LaurentPoly.constant(3, E.base.one())
+    for i, shift in enumerate(shifts):
+        t = LaurentPoly.variable(3, i)
+        series = sum((t ** m * E.segre_class(m) for m in range(3)), LaurentPoly.zero(3))
+        expected = expected * series * LaurentPoly.monomial(3, tuple(
+            shift if j == i else 0 for j in range(3)))
+    assert segre_product(E, shifts) == expected
+    assert segre_product(E, ()) == LaurentPoly.constant(0, E.base.one())
