@@ -33,7 +33,7 @@ from __future__ import annotations
 import threading
 from fractions import Fraction
 
-from .exact import LaurentPoly, SparseTerms, _accumulate, _refuse_float, _tadd, exact_str
+from .exact import LaurentPoly, SparseTerms, _accumulate, _refuse_float, _tadd, monomial_text
 
 _ZERO = 0
 _ONE = 1
@@ -232,27 +232,9 @@ class GradedElement(SparseTerms):
         return ds[0]
 
     def __repr__(self):
-        if not self.terms:
-            return "0"
         model = self.model
-        bits = []
-        order = lambda e: (model._degree(e), tuple(-x for x in e))
-        for exps in sorted(self.terms, key=order):
-            coeff = self.terms[exps]
-            mono = "*".join(
-                name if e == 1 else f"{name}^{e}"
-                for name, e in zip(model.gen_names, exps)
-                if e
-            )
-            if not mono:
-                bits.append(exact_str(coeff))
-            elif coeff == 1:
-                bits.append(mono)
-            elif coeff == -1:
-                bits.append("-" + mono)
-            else:
-                bits.append(f"{exact_str(coeff)}*{mono}")
-        return " + ".join(bits).replace("+ -", "- ")
+        order = sorted(self.terms, key=lambda e: (model._degree(e), tuple(-x for x in e)))
+        return self._text(order, model.gen_names)
 
 
 def integrate(a: GradedElement) -> Fraction:
@@ -322,12 +304,12 @@ class BundleModel:
 
     __slots__ = ("base", "rank", "segre", "chern", "chern_roots", "label")
 
-    def __init__(self, base, rank, segre, chern, chern_roots=None, label=None):
+    def __init__(self, base, rank, segre, chern, label=None):
         self.base = base
         self.rank = rank
         self.segre = tuple(segre)
         self.chern = tuple(chern)
-        self.chern_roots = tuple(chern_roots) if chern_roots is not None else None
+        self.chern_roots = None
         self.label = label or f"rank-{rank} bundle over {base!r}"
 
     @classmethod
@@ -376,21 +358,16 @@ class BundleModel:
         rank = len(roots)
         if rank < 1:
             raise ValueError("need at least one root")
-        h = base.one() if base.kind == POINT else base.hyperplane()
-        chern = [base.one()]
+        # c_i = e_i(roots) h^i, the elementary symmetric functions of the roots
+        elementary = [1] + [0] * rank
         for a in roots:
-            if base.kind == POINT:
-                factor_cls = [base.one()]
-            else:
-                factor_cls = [base.one(), h * a]
-            new = [base.zero()] * (len(chern) + len(factor_cls) - 1)
-            for i, c in enumerate(chern):
-                for j, f in enumerate(factor_cls):
-                    new[i + j] = new[i + j] + c * f
-            chern = new
-        chern = chern[: rank + 1]
+            for i in range(rank, 0, -1):
+                elementary[i] += elementary[i - 1] * a
+        h = base.zero() if base.kind == POINT else base.hyperplane()
+        chern = [base.one()] + [h ** i * elementary[i] for i in range(1, rank + 1)]
         out = cls.from_chern(base, rank, chern, label=label)
-        return cls(base, rank, out.segre, out.chern, chern_roots=roots, label=out.label)
+        out.chern_roots = tuple(roots)
+        return out
 
     @classmethod
     def trivial(cls, base, rank, label=None):
@@ -404,23 +381,10 @@ class BundleModel:
         the rank (a rank-r bundle has c_i = 0 for i > r)."""
         if base.kind != FORMAL:
             raise ValueError("formal bundles need a formal base model")
-        if rank < 1:
-            raise ValueError("rank must be positive")
-        free = [base.one()] + [
-            base.segre_generator(i, family) for i in range(1, min(rank, base.n) + 1)
-        ]
-        if rank >= base.n:
-            segre = free
-            chern = chern_from_segre(segre, base.n)
-            chern = chern + [base.zero()] * (rank + 1 - len(chern))
-        else:
-            chern = chern_from_segre(free, rank)
-            segre = segre_from_chern(chern, rank, base.n)
-        return cls(
-            base,
-            rank,
-            segre,
-            chern[: rank + 1],
+        n = min(rank, base.n)
+        free = [base.one()] + [base.segre_generator(i, family) for i in range(1, n + 1)]
+        return cls.from_chern(
+            base, rank, chern_from_segre(free, n),
             label=label or f"formal rank {rank} (family {family})",
         )
 
@@ -706,11 +670,10 @@ class FlagRingElement(SparseTerms):
     def __repr__(self):
         if not self.terms:
             return "0"
+        names = [f"x{l}" for l in range(self.ring.d)]
         bits = []
         for exps in sorted(self.terms):
-            mono = "*".join(
-                f"x{l}" if e == 1 else f"x{l}^{e}" for l, e in enumerate(exps) if e
-            )
+            mono = monomial_text(names, exps)
             coeff = self.terms[exps]
             text = repr(coeff)
             if len(coeff.terms) > 1 and mono:

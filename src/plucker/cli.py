@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from .chow import FORMAL, POINT, BundleModel, formal_segre, point, projective_space
 from .degree import plucker_degree
-from .exact import exact_str
+from .exact import exact_str, monomial_text
 from .pushforward import (
     ALL_METHODS,
     DISPLAYED,
@@ -89,8 +89,9 @@ def _parse_int(field, raw):
 
 def _get(merged, key):
     """Option ``key`` read by its kind, or its default when it is not
-    given; an empty choice counts as not given.  An int below its
-    minimum is refused, zero included."""
+    given; an empty choice or switch counts as not given.  An int below
+    its minimum is refused, zero included, and a switch takes only
+    configparser's boolean words."""
     _, _, kind, default, minimum, _ = _OPTIONS[key]
     raw = merged.get(key)
     if raw is None:
@@ -100,14 +101,19 @@ def _get(merged, key):
         if minimum is not None and value < minimum:
             raise ConfigError(f"{key}: must be at least {minimum}, got {value}")
         return value
+    if kind is str:
+        return raw
+    word = str(raw).strip().lower()
+    if not word:
+        return default
     if kind is bool:
-        return str(raw).strip().lower() in ("1", "true", "yes", "on")
-    if isinstance(kind, tuple):
-        value = str(raw).strip().lower() or default
-        if value not in kind:
-            raise ConfigError(f"{key}: expected {' or '.join(kind)}, got {value!r}")
-        return value
-    return raw
+        states = configparser.ConfigParser.BOOLEAN_STATES
+        if word not in states:
+            raise ConfigError(f"{key}: expected one of {'/'.join(states)}, got {word!r}")
+        return states[word]
+    if word not in kind:
+        raise ConfigError(f"{key}: expected {' or '.join(kind)}, got {word!r}")
+    return word
 
 
 def _parse_fraction(field, raw):
@@ -248,12 +254,7 @@ def element_fields(elem):
     model = elem.model
     out = {}
     for exps in sorted(elem.terms, key=lambda e: (model._degree(e), e)):
-        mono = "*".join(
-            name if e == 1 else f"{name}^{e}"
-            for name, e in zip(model.gen_names, exps)
-            if e
-        )
-        out[mono or "1"] = exact_str(elem.terms[exps])
+        out[monomial_text(model.gen_names, exps) or "1"] = exact_str(elem.terms[exps])
     return out
 
 
@@ -322,6 +323,7 @@ def cmd_chern_pushforward(merged) -> int:
         method: ch_pushforward(bundle, d, method, denominator)
         for method in ALL_METHODS
     }
+    agree = all(series["closed"].same_components(other) for other in series.values())
     degrees = list(range(base.n + 1))
     if fmt == "json":
         docs = []
@@ -338,7 +340,9 @@ def cmd_chern_pushforward(merged) -> int:
                 }
             )
         print(json.dumps(docs, indent=2, sort_keys=True))
-        return 0
+        if not agree:
+            print("methods agree: NO", file=sys.stderr)
+        return 0 if agree else 1
     print(f"push-forward of ch(det Q) for {bundle.label}, d={d}")
     cells = {
         (m, method): repr(series[method].component(m))
@@ -352,12 +356,9 @@ def cmd_chern_pushforward(merged) -> int:
     header = "  deg | " + " | ".join(method.ljust(widths[method]) for method in ALL_METHODS)
     print(header)
     print("  " + "-" * (len(header) - 2))
-    agree = True
     for m in degrees:
         row = " | ".join(cells[(m, method)].ljust(widths[method]) for method in ALL_METHODS)
         print(f"  {m:3d} | {row}")
-        values = [series[method].component(m) for method in ALL_METHODS]
-        agree = agree and all(v == values[0] for v in values[1:])
     print(f"methods agree: {'yes' if agree else 'NO'}")
     return 0 if agree else 1
 

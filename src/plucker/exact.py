@@ -41,6 +41,15 @@ def exact_str(value) -> str:
     return str(Decimal(int(value)))
 
 
+def monomial_text(names, exps) -> str:
+    """The monomial with exponents ``exps`` in the variables ``names``,
+    as ``name^e`` factors joined by ``*`` (``name`` alone when e = 1);
+    empty for the unit monomial."""
+    return "*".join(
+        name if e == 1 else f"{name}^{e}" for name, e in zip(names, exps) if e
+    )
+
+
 def inv_factorial(m: int) -> Fraction:
     """1/m! for m >= 0, extended by 0 for negative m."""
     if m < 0:
@@ -118,9 +127,9 @@ class SparseTerms:
     coefficients: the shared core of :class:`LaurentPoly`,
     ``chow.GradedElement`` and ``chow.FlagRingElement``.
 
-    Truth, equality, ``+``, unary ``-``, ``-`` and ``**`` live here.  A
-    subclass adds its constructor, its ``*`` and its ``repr``, and three
-    hooks:
+    Truth, equality, ``+``, unary ``-``, ``-``, ``**`` and the printing
+    of a sum live here.  A subclass adds its constructor, its ``*`` and
+    its ``repr``, and three hooks:
 
     * ``_coerce(other)``: ``other`` as an instance with the same parent
       (variable count, base model or flag ring), or None when ``other``
@@ -174,6 +183,25 @@ class SparseTerms:
         if peer is None:
             return NotImplemented
         return peer + (-self)
+
+    def _text(self, order, names) -> str:
+        """The terms as a sum in ``order``, each ``coeff*monomial`` in the
+        variables ``names``; a coefficient 1 is left out, -1 becomes a
+        sign, and no terms print as ``0``."""
+        bits = []
+        for exps in order:
+            coeff = self.terms[exps]
+            text = exact_str(coeff) if isinstance(coeff, (int, Fraction)) else repr(coeff)
+            mono = monomial_text(names, exps)
+            if not mono:
+                bits.append(text)
+            elif coeff == 1:
+                bits.append(mono)
+            elif coeff == -1:
+                bits.append("-" + mono)
+            else:
+                bits.append(f"{text}*{mono}")
+        return " + ".join(bits).replace("+ -", "- ") or "0"
 
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
@@ -329,24 +357,8 @@ class LaurentPoly(SparseTerms):
         return self._new(quot)
 
     def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for exps in sorted(self.terms, key=lambda e: (sum(e), e), reverse=True):
-            coeff = self.terms[exps]
-            text = exact_str(coeff) if isinstance(coeff, (int, Fraction)) else repr(coeff)
-            mono = "*".join(
-                f"t{i}" if e == 1 else f"t{i}^{e}" for i, e in enumerate(exps) if e
-            )
-            if not mono:
-                bits.append(text)
-            elif coeff == 1:
-                bits.append(mono)
-            elif coeff == -1:
-                bits.append("-" + mono)
-            else:
-                bits.append(f"{text}*{mono}")
-        return " + ".join(bits).replace("+ -", "- ")
+        order = sorted(self.terms, key=lambda e: (sum(e), e), reverse=True)
+        return self._text(order, [f"t{i}" for i in range(self.nvars)])
 
 
 def const_term(f: LaurentPoly):

@@ -150,41 +150,33 @@ def pushforward_polynomial(F: LaurentPoly, bundle, d: int) -> GradedElement:
 
 
 class PushforwardSeries:
-    """Graded components of the pushed-forward Chern character.
+    """The pushed-forward Chern character of one route, as one element
+    ``value`` of the base ring.
 
-    Component m is the degree-m part in the base ring; the push-forward
-    of theta^N is recovered as N! times component N - d(r-d)."""
+    Its degree-m part is ``component(m)``; the push-forward of theta^N
+    is recovered as N! times component N - d(r-d)."""
 
-    __slots__ = ("bundle", "d", "method", "components")
+    __slots__ = ("bundle", "d", "method", "value")
 
-    def __init__(self, bundle, d, method, components):
+    def __init__(self, bundle, d, method, value):
         self.bundle = bundle
         self.d = d
         self.method = method
-        self.components = dict(components)
-
-    @property
-    def relative_dimension(self) -> int:
-        return self.d * (self.bundle.rank - self.d)
+        self.value = value
 
     def component(self, m: int) -> GradedElement:
-        value = self.components.get(m)
-        return value if value is not None else self.bundle.base.zero()
+        return self.value.component(m)
 
     def theta_power(self, N: int) -> GradedElement:
         """Push-forward of theta^N (zero below the relative dimension)."""
-        m = N - self.relative_dimension
-        if m < 0 or m > self.bundle.base.n:
-            return self.bundle.base.zero()
-        return self.component(m) * Fraction(factorial(N))
+        return self.component(N - self.d * (self.bundle.rank - self.d)) * factorial(N)
 
     def same_components(self, other: "PushforwardSeries") -> bool:
-        degrees = set(self.components) | set(other.components)
-        return all(self.component(m) == other.component(m) for m in degrees)
+        return self.value == other.value
 
     def __repr__(self):
         rows = ", ".join(
-            f"[{m}] {self.component(m)!r}" for m in sorted(self.components)
+            f"[{m}] {self.component(m)!r}" for m in range(self.bundle.base.n + 1)
         )
         return f"<pushforward ch by {self.method}: {rows}>"
 
@@ -237,10 +229,10 @@ def ch_pushforward_closed(bundle, d: int, denominator: str = PROOF) -> Pushforwa
     are zero by truncation, so the sum stops at |k| = n."""
     if not 1 <= d <= bundle.rank:
         raise ValueError("need 1 <= d <= rank")
-    comps = {m: bundle.base.zero() for m in range(bundle.base.n + 1)}
-    for k, coeff, term in _closed_terms(bundle, d, denominator):
-        comps[sum(k)] = comps[sum(k)] + term * coeff
-    return PushforwardSeries(bundle, d, "closed", comps)
+    value = bundle.base.zero()
+    for _, coeff, term in _closed_terms(bundle, d, denominator):
+        value = value + term * coeff
+    return PushforwardSeries(bundle, d, "closed", value)
 
 
 def ch_pushforward_schur(bundle, d: int) -> PushforwardSeries:
@@ -250,15 +242,14 @@ def ch_pushforward_schur(bundle, d: int) -> PushforwardSeries:
     r = bundle.rank
     if not 1 <= d <= r:
         raise ValueError("need 1 <= d <= rank")
-    n = bundle.base.n
-    comps = {m: bundle.base.zero() for m in range(n + 1)}
-    for lam in partitions_up_to(d, n):
+    value = bundle.base.zero()
+    for lam in partitions_up_to(d, bundle.base.n):
         mu = tuple(part + (r - d) for part in lam)
         coeff = Fraction(syt_count(mu), factorial(weight(mu)))
         term = schur_delta(lam, bundle)
         if term:
-            comps[weight(lam)] = comps[weight(lam)] + term * coeff
-    return PushforwardSeries(bundle, d, "schur", comps)
+            value = value + term * coeff
+    return PushforwardSeries(bundle, d, "schur", value)
 
 
 def ch_pushforward_constterm(bundle, d: int) -> PushforwardSeries:
@@ -268,11 +259,8 @@ def ch_pushforward_constterm(bundle, d: int) -> PushforwardSeries:
     r = bundle.rank
     if not 1 <= d <= r:
         raise ValueError("need 1 <= d <= rank")
-    n = bundle.base.n
     f = segre_product(bundle, [r - d - (d - 1 - i) for i in range(d)])
-    value = _as_element(bundle.base, phi(f, d))
-    comps = {m: value.component(m) for m in range(n + 1)}
-    return PushforwardSeries(bundle, d, "constterm", comps)
+    return PushforwardSeries(bundle, d, "constterm", _as_element(bundle.base, phi(f, d)))
 
 
 def ch_pushforward_oracle(bundle, d: int, ring=None) -> PushforwardSeries:
@@ -285,12 +273,10 @@ def ch_pushforward_oracle(bundle, d: int, ring=None) -> PushforwardSeries:
     elif ring.bundle is not bundle or ring.d != d:
         raise ValueError("the flag ring belongs to another bundle or corank")
     rel = d * (bundle.rank - d)
-    n = bundle.base.n
-    comps = {
-        m: ring.pushforward_theta_power(rel + m) * inv_factorial(rel + m)
-        for m in range(n + 1)
-    }
-    return PushforwardSeries(bundle, d, "oracle", comps)
+    value = bundle.base.zero()
+    for N in range(rel, rel + bundle.base.n + 1):
+        value = value + ring.pushforward_theta_power(N) * inv_factorial(N)
+    return PushforwardSeries(bundle, d, "oracle", value)
 
 
 ALL_METHODS = ("closed", "schur", "constterm", "oracle")

@@ -15,7 +15,7 @@ from itertools import permutations
 
 from .chow import BundleModel, FlagRing, formal_segre, point, projective_space
 from .degree import fiber_degree_hook, plucker_degree
-from .exact import LaurentPoly, exponent_vectors, perm_sign
+from .exact import LaurentPoly, exact_str, exponent_vectors, monomial_text, perm_sign
 from .pushforward import (
     DISPLAYED,
     PROOF,
@@ -74,9 +74,23 @@ def grid_bundles(rank: int, truncation: int = DEFAULT_TRUNCATION):
     return [formal] + split_bundles(rank)
 
 
+def _first_difference(name_a, a, name_b, b) -> str:
+    """Empty when the base-ring elements ``a`` and ``b`` are equal, else
+    the lowest base monomial of a - b (in repr order) with both of its
+    coefficients."""
+    if a == b:
+        return ""
+    diff = a - b
+    model = diff.model
+    exps = min(diff.terms, key=lambda e: (model._degree(e), tuple(-x for x in e)))
+    mono = monomial_text(model.gen_names, exps) or "1"
+    coeff_a, coeff_b = (exact_str(x.terms.get(exps, 0)) for x in (a, b))
+    return f"{name_a} and {name_b} differ at {mono}: {coeff_a} vs {coeff_b}"
+
+
 def check_fourway(bundle, d: int) -> CaseResult:
     """One agreement-grid case: the three formula routes and the oracle
-    must agree componentwise, theta powers must vanish below the relative
+    must agree exactly, theta powers must vanish below the relative
     dimension, and every component must be homogeneous."""
     key = f"agreement r={bundle.rank} d={d} {bundle.label}"
     closed = ch_pushforward_closed(bundle, d, PROOF)
@@ -84,21 +98,15 @@ def check_fourway(bundle, d: int) -> CaseResult:
     constterm = ch_pushforward_constterm(bundle, d)
     ring = FlagRing(bundle, d)
     oracle = ch_pushforward_oracle(bundle, d, ring)
-    n = bundle.base.n
-    rel = d * (bundle.rank - d)
     for other in (schur, constterm, oracle):
-        for m in range(n + 1):
-            if closed.component(m) != other.component(m):
-                return CaseResult(
-                    key,
-                    False,
-                    f"component {m}: closed={closed.component(m)!r} "
-                    f"{other.method}={other.component(m)!r}",
-                )
+        detail = _first_difference("closed", closed.value, other.method, other.value)
+        if detail:
+            return CaseResult(key, False, detail)
+    rel = d * (bundle.rank - d)
     for N in range(rel):
         if ring.pushforward_theta_power(N):
             return CaseResult(key, False, f"theta^{N} pushed forward is nonzero")
-    for m in range(n + 1):
+    for m in range(bundle.base.n + 1):
         value = ring.pushforward_theta_power(rel + m)
         if value != closed.theta_power(rel + m):
             return CaseResult(key, False, f"theta^{rel + m} disagrees with N! * component")
@@ -141,10 +149,11 @@ def run_monomial_grid(
             ct = monomial_pushforward_ct(p, bundle, d)
             dt = monomial_pushforward_det(p, bundle, d)
             orc = ring.from_terms({p: bundle.base.one()}).pushforward()
-            if not (ct == dt == orc):
-                return CaseResult(
-                    key, False, f"p={p}: ct={ct!r} det={dt!r} oracle={orc!r}"
-                )
+            detail = _first_difference("ct", ct, "det", dt) or _first_difference(
+                "ct", ct, "oracle", orc
+            )
+            if detail:
+                return CaseResult(key, False, f"p={p}: {detail}")
         return CaseResult(key, True)
 
     results = [

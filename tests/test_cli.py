@@ -102,6 +102,20 @@ class TestChernPushforwardCommand:
         assert code == 1
         assert "methods agree: NO" in out
 
+    def test_json_disagreement_exits_1(self, capsys):
+        # the verdict does not depend on the format: beside JSON it goes
+        # to stderr, and stdout stays one JSON document
+        code, out, err = run_cli(
+            capsys,
+            "chern-pushforward", "--base", "point", "--rank", "4", "-d", "2",
+            "--denominator", "displayed", "--format", "json",
+        )
+        assert code == 1
+        assert [doc["method"] for doc in json.loads(out)] == [
+            "closed", "schur", "constterm", "oracle",
+        ]
+        assert err == "methods agree: NO\n"
+
     def test_two_family_formal_base(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -209,6 +223,34 @@ class TestConfigFile:
         assert code == 0
         assert from_file == from_flags
         assert "formal rank 3" in from_file
+
+    @staticmethod
+    def formal_job(tmp_path, switch):
+        cfg = tmp_path / "job.ini"
+        cfg.write_text(
+            "[base]\nkind = formal\ndim = 2\n\n"
+            f"[bundle]\nrank = 3\nformal = {switch}\n\n[options]\nd = 1\n"
+        )
+        return str(cfg)
+
+    @pytest.mark.parametrize("switch, formal", [
+        ("true", True), ("Yes", True), ("ON", True), ("1", True),
+        ("false", False), ("NO", False), ("off", False), ("0", False), ("", False),
+    ])
+    def test_switch_words(self, capsys, tmp_path, switch, formal):
+        code, out, _ = run_cli(capsys, "chern-pushforward",
+                               "--config", self.formal_job(tmp_path, switch))
+        assert code == 0
+        label = "formal rank 3" if formal else "trivial rank 3"
+        assert f"push-forward of ch(det Q) for {label}" in out
+
+    @pytest.mark.parametrize("switch", ["ture", "maybe", "2", "y", "yes please"])
+    def test_misspelt_switch_refused(self, capsys, tmp_path, switch):
+        code, out, err = run_cli(capsys, "chern-pushforward",
+                                 "--config", self.formal_job(tmp_path, switch))
+        assert code == 2
+        assert out == ""
+        assert "bundle.formal" in err
 
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "degree", "--config", "/nonexistent/job.ini")

@@ -2,7 +2,8 @@
 random INI files, well-formed or not, drive ``cli.main``.
 
 Every run ends with exit 0, 1 or 2 and no exception; exit 1 (reserved
-for a failed verification) comes only with a failure on stdout.  A run
+for a failed verification) comes only with a failure reported on stdout
+or, beside JSON output, on stderr.  A run
 starts from a valid job, so that many runs compute, and is then
 perturbed: values swapped for junk, flags of other commands added, keys
 misspelt, options moved into the INI file, or the file replaced by text
@@ -158,7 +159,7 @@ def test_every_run_exits_0_1_or_2(tmp_path_factory, invocation):
             code = exit_.code
     assert code in (0, 1, 2), (argv, code)
     if code == 1:
-        text = out.getvalue()
+        text = out.getvalue() + err.getvalue()
         assert "methods agree: NO" in text or "[FAIL]" in text, (argv, text)
     if code == 2:
         assert err.getvalue(), argv

@@ -1,4 +1,6 @@
+import ast
 import random
+import re
 from fractions import Fraction
 from math import factorial
 
@@ -13,10 +15,11 @@ from plucker.chow import (
     point,
     projective_space,
 )
-from plucker.exact import LaurentPoly, exponent_vectors, inv_factorial, vandermonde
+from plucker.exact import LaurentPoly, exact_str, exponent_vectors, inv_factorial, vandermonde
 from plucker.pushforward import (
     DISPLAYED,
     PROOF,
+    PushforwardSeries,
     ch_pushforward,
     ch_pushforward_closed,
     ch_pushforward_constterm,
@@ -353,6 +356,47 @@ class TestChernCharacterRoutes:
         monkeypatch.setattr(pushforward, "FlagRing", CountingRing)
         assert verify.check_fourway(BundleModel.formal(fm3, 4), 2).ok
         assert len(built) == 1
+
+    def test_fourway_failure_names_lowest_monomial(self, fm3, monkeypatch):
+        from plucker import verify
+
+        E = BundleModel.formal(fm3, 4)
+        real = verify.ch_pushforward_oracle
+        s1, s3 = fm3.segre_generator(1), fm3.segre_generator(3)
+
+        def skewed(bundle, d, ring=None):
+            value = real(bundle, d, ring).value + s1 ** 2 * 5 + s3
+            return PushforwardSeries(bundle, d, "oracle", value)
+
+        monkeypatch.setattr(verify, "ch_pushforward_oracle", skewed)
+        res = verify.check_fourway(E, 2)
+        want = ch_pushforward_closed(E, 2).value.terms.get((2, 0, 0), 0)
+        assert not res.ok
+        assert res.detail == (
+            f"closed and oracle differ at s1^2: {exact_str(want)} vs {exact_str(want + 5)}"
+        )
+
+    def test_monomial_grid_failure_names_monomial(self, monkeypatch):
+        from plucker import verify
+
+        fm = formal_segre(3)
+        real = verify.monomial_pushforward_det
+        monkeypatch.setattr(
+            verify, "monomial_pushforward_det",
+            lambda p, bundle, d: real(p, bundle, d) + fm.segre_generator(2) * 5,
+        )
+        results = verify.run_monomial_grid(max_rank=2, truncation=3, trials=2)
+        assert len(results) == 3
+        for res in results:
+            assert not res.ok
+            r, d = map(int, re.fullmatch(r"monomials r=(\d) d=(\d)", res.key).groups())
+            match = re.fullmatch(r"p=(\(.*\)): ct and det differ at s2: (\S+) vs (\S+)",
+                                 res.detail)
+            assert match, res.detail
+            p = ast.literal_eval(match.group(1))
+            ct = monomial_pushforward_ct(p, BundleModel.formal(fm, r), d)
+            want = ct.terms.get((0, 1, 0), 0)
+            assert match.group(2, 3) == (exact_str(want), exact_str(want + 5))
 
     def test_dispatch(self, fm3):
         E = BundleModel.formal(fm3, 2)
