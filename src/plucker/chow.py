@@ -30,7 +30,6 @@ denominator (rational Segre classes).  Nothing in this module divides.
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
 
 from .exact import LaurentPoly, SparseTerms, _accumulate, _refuse_float, _tadd, monomial_text
@@ -47,8 +46,8 @@ _FAMILY_PREFIXES = ("s", "u", "v", "w")
 
 class BaseModel:
     """A truncated graded ring standing in for the rational Chow ring of
-    the base variety.  Immutable after construction (the degree memo is
-    an idempotent cache, safe under concurrent readers)."""
+    the base variety.  Immutable after construction apart from the
+    degree memo, an idempotent cache."""
 
     __slots__ = ("kind", "n", "families", "gen_names", "gen_degrees", "_deg_memo")
 
@@ -302,14 +301,13 @@ class BundleModel:
     enforced, since every formula here silently assumes it.
     """
 
-    __slots__ = ("base", "rank", "segre", "chern", "chern_roots", "label")
+    __slots__ = ("base", "rank", "segre", "chern", "label")
 
     def __init__(self, base, rank, segre, chern, label=None):
         self.base = base
         self.rank = rank
         self.segre = tuple(segre)
         self.chern = tuple(chern)
-        self.chern_roots = None
         self.label = label or f"rank-{rank} bundle over {base!r}"
 
     @classmethod
@@ -365,9 +363,7 @@ class BundleModel:
                 elementary[i] += elementary[i - 1] * a
         h = base.zero() if base.kind == POINT else base.hyperplane()
         chern = [base.one()] + [h ** i * elementary[i] for i in range(1, rank + 1)]
-        out = cls.from_chern(base, rank, chern, label=label)
-        out.chern_roots = tuple(roots)
-        return out
+        return cls.from_chern(base, rank, chern, label=label)
 
     @classmethod
     def trivial(cls, base, rank, label=None):
@@ -415,10 +411,10 @@ class FlagRing:
     exponent shift, and at the bound it reads a table entry (see
     :meth:`_xi_entry`), filled on first use.  The level-l relations are
     the table's first entries, built at construction.  Instances are
-    immutable apart from these caches and safe to share.
+    immutable apart from these caches.
     """
 
-    __slots__ = ("bundle", "d", "bounds", "_xi_basis", "_theta_chain", "_lock")
+    __slots__ = ("bundle", "d", "bounds", "_xi_basis", "_theta_chain")
 
     def __init__(self, bundle: BundleModel, d: int):
         rank = bundle.rank
@@ -429,9 +425,6 @@ class FlagRing:
         self.bounds = tuple(rank - l - 1 for l in range(d))
         # (l, basis monomial with x_l at its bound) -> normal form of its product with x_l
         self._xi_basis = {}
-        # reentrant: filling an entry multiplies by lower generators, which
-        # may fill their own entries
-        self._lock = threading.RLock()
         zero_key = (0,) * d
         # Chern classes of the successive kernels, as normal-form term maps.
         kernel = [
@@ -476,21 +469,20 @@ class FlagRing:
         got = table.get((l, exps))
         if got is not None:
             return got
-        with self._lock:
-            taken = []
-            while (l, exps) not in table:
-                j = next((i for i in range(l) if exps[i]), None)
-                if j is None:
-                    rule = table[(l, exps[: l + 1] + (0,) * (self.d - l - 1))]
-                    upper = (0,) * (l + 1) + exps[l + 1 :]
-                    table[(l, exps)] = {_tadd(e, upper): c for e, c in rule.items()}
-                    break
-                taken.append(j)
-                exps = exps[:j] + (exps[j] - 1,) + exps[j + 1 :]
-            got = table[(l, exps)]
-            for j in reversed(taken):
-                exps = exps[:j] + (exps[j] + 1,) + exps[j + 1 :]
-                got = table[(l, exps)] = self._times_x(got, j)
+        taken = []
+        while (l, exps) not in table:
+            j = next((i for i in range(l) if exps[i]), None)
+            if j is None:
+                rule = table[(l, exps[: l + 1] + (0,) * (self.d - l - 1))]
+                upper = (0,) * (l + 1) + exps[l + 1 :]
+                table[(l, exps)] = {_tadd(e, upper): c for e, c in rule.items()}
+                break
+            taken.append(j)
+            exps = exps[:j] + (exps[j] - 1,) + exps[j + 1 :]
+        got = table[(l, exps)]
+        for j in reversed(taken):
+            exps = exps[:j] + (exps[j] + 1,) + exps[j + 1 :]
+            got = table[(l, exps)] = self._times_x(got, j)
         return got
 
     def _times_x(self, terms, l, out=None):
@@ -597,16 +589,15 @@ class FlagRing:
         """
         if N < 0:
             raise ValueError("power must be nonnegative")
-        with self._lock:
-            if self._theta_chain is None:
-                staircase = tuple(self.d - 1 - i for i in range(self.d))
-                self._theta_chain = [{staircase: self.bundle.base.one()}]
-            chain = self._theta_chain
-            while len(chain) <= N:
-                out = {}
-                for l in range(self.d):
-                    self._times_x(chain[-1], l, out)
-                chain.append(out)
+        if self._theta_chain is None:
+            staircase = tuple(self.d - 1 - i for i in range(self.d))
+            self._theta_chain = [{staircase: self.bundle.base.one()}]
+        chain = self._theta_chain
+        while len(chain) <= N:
+            out = {}
+            for l in range(self.d):
+                self._times_x(chain[-1], l, out)
+            chain.append(out)
         top = self.top_monomial
         value = chain[N].get(top)
         return value if value is not None else self.bundle.base.zero()

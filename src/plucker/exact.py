@@ -388,10 +388,8 @@ def vandermonde(nvars: int) -> LaurentPoly:
     """The product of (t_i - t_j) over i < j; 1 for a single variable.
 
     Built term by term as det[t_i^(nvars-1-j)]: each permutation p gives
-    sgn(p) * prod t_i^(nvars-1-p(i)).  No polynomial product is formed,
-    so threads that miss the cache at once repeat identical work and
-    nothing else.  Cached: instances are immutable by convention, so
-    sharing is safe.
+    sgn(p) * prod t_i^(nvars-1-p(i)).  No polynomial product is formed.
+    Cached: instances are immutable by convention, so sharing is safe.
     """
     if nvars < 1:
         raise ValueError("need at least one variable")

@@ -22,7 +22,7 @@ oracle and the classical degrees, but both are available for comparison
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial, perm, prod
 
 from .chow import FlagRing, GradedElement
 from .exact import LaurentPoly, const_of_product, det, exponent_vectors, inv_factorial, vandermonde
@@ -36,33 +36,43 @@ DISPLAYED = "displayed"
 
 def phi(f: LaurentPoly, nvars: int):
     """Linear functional taking f to the constant term of
-    Delta(t) exp(1/t_0 + ... + 1/t_{d-1}) f.
+    Delta(t) exp(1/t_0 + ... + 1/t_{d-1}) f, one monomial at a time.
 
-    The exponential never gets materialized: a monomial of Delta * f with
-    exponents (m_0, ..., m_{d-1}) contributes its coefficient over the
-    integer denominator prod m_i!, and nothing when some m_i is negative.
-    Coefficients are summed per denominator first.  Integer coefficients
-    then meet a single division by the lcm of the denominators; rationals
-    and graded base-ring elements are scaled by 1/den once per group.
-    """
+    With a_i = e_i + d - 1, the monomial t^e goes to det[1/(a_i - j)!],
+    where 1/m! = 0 for m < 0.  Row i times a_i! is the integer falling
+    factorials a_i!/(a_i - j)!, so t^e adds its coefficient times the
+    determinant :func:`_int_det` of those over prod a_i!."""
     if f.nvars != nvars:
         raise ValueError("variable count mismatch")
-    groups = {}
-    for exps, coeff in (vandermonde(nvars) * f).terms.items():
-        if min(exps) < 0:
-            continue
-        den = 1
-        for e in exps:
-            den *= factorial(e)
-        have = groups.get(den)
-        groups[den] = coeff if have is None else have + coeff
-    if all(isinstance(c, int) for c in groups.values()):
-        common = lcm(*groups)
-        return Fraction(sum(c * (common // den) for den, c in groups.items()), common)
     total = _ZERO
-    for den, c in groups.items():
-        total = total + c * Fraction(1, den)
+    for exps, coeff in f.terms.items():
+        tops = [e + nvars - 1 for e in exps]
+        if min(tops) >= 0:  # else row i of the determinant is zero
+            num = _int_det([[perm(a, j) for j in range(nvars)] for a in tops])
+            if num:
+                total = total + coeff * Fraction(num, prod(map(factorial, tops)))
     return total
+
+
+def _int_det(rows) -> int:
+    """Determinant of a square int matrix, overwriting ``rows``, by Bareiss's
+    fraction-free elimination (Math. Comp. 22, 1968): each ``//`` is exact
+    by Sylvester's identity, and a zero pivot swaps in a lower row."""
+    n, sign, prev = len(rows), 1, 1
+    for k in range(n - 1):
+        if not rows[k][k]:
+            swap = next((i for i in range(k + 1, n) if rows[i][k]), None)
+            if swap is None:
+                return 0
+            rows[k], rows[swap] = rows[swap], rows[k]
+            sign = -sign
+        pivot, pivot_row = rows[k][k], rows[k]
+        for row in rows[k + 1:]:
+            lead = row[k]
+            for j in range(k + 1, n):
+                row[j] = (row[j] * pivot - lead * pivot_row[j]) // prev
+        prev = pivot
+    return sign * rows[-1][-1]
 
 
 def phi_eval_monomial(k) -> Fraction:

@@ -2,8 +2,9 @@
 random INI files, well-formed or not, drive ``cli.main``.
 
 Every run ends with exit 0, 1 or 2 and no exception; exit 1 (reserved
-for a failed verification) comes only with a failure reported on stdout
-or, beside JSON output, on stderr.  A run
+for a failed verification) comes exactly when a failure is reported: on
+stdout, or beside JSON output on stderr, and a ``chern-pushforward``
+JSON document whose four routes' ``degree_components`` differ is one.  A run
 starts from a valid job, so that many runs compute, and is then
 perturbed: values swapped for junk, flags of other commands added, keys
 misspelt, options moved into the INI file, or the file replaced by text
@@ -14,6 +15,7 @@ takes milliseconds.
 
 import contextlib
 import io
+import json
 from unittest import mock
 
 from hypothesis import given, settings, strategies as st
@@ -141,6 +143,22 @@ def _stub_suite(*args, **kwargs):
     return [CaseResult("stub", True)]
 
 
+def _routes_disagree(stdout):
+    """True for a chern-pushforward JSON document (one entry per route)
+    whose routes report different degree components."""
+    try:
+        doc = json.loads(stdout)
+    except ValueError:
+        return False
+    if not isinstance(doc, list):
+        return False
+    components = [
+        json.dumps(entry["degree_components"])
+        for entry in doc if isinstance(entry, dict) and "degree_components" in entry
+    ]
+    return len(components) == 4 and len(set(components)) > 1
+
+
 @given(invocations())
 @settings(max_examples=300, deadline=None)
 def test_every_run_exits_0_1_or_2(tmp_path_factory, invocation):
@@ -161,5 +179,8 @@ def test_every_run_exits_0_1_or_2(tmp_path_factory, invocation):
     if code == 1:
         text = out.getvalue() + err.getvalue()
         assert "methods agree: NO" in text or "[FAIL]" in text, (argv, text)
+    stdout = out.getvalue()
+    if "methods agree: NO" in stdout or "[FAIL]" in stdout or _routes_disagree(stdout):
+        assert code == 1, (argv, code, stdout)
     if code == 2:
         assert err.getvalue(), argv

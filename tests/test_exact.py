@@ -83,8 +83,8 @@ class TestVandermonde:
         assert vandermonde(d) == product
 
     def test_forms_no_polynomial_product(self, monkeypatch):
-        # threads may fill the cache at once; without products a repeated
-        # fill repeats no countable work
+        # built from permutation signs alone, so a cache miss costs d!
+        # terms and no polynomial multiplication
         calls = []
         original = LaurentPoly.__mul__
 

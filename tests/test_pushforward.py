@@ -15,7 +15,8 @@ from plucker.chow import (
     point,
     projective_space,
 )
-from plucker.exact import LaurentPoly, exact_str, exponent_vectors, inv_factorial, vandermonde
+from plucker import pushforward
+from plucker.exact import LaurentPoly, det, exact_str, exponent_vectors, inv_factorial, vandermonde
 from plucker.pushforward import (
     DISPLAYED,
     PROOF,
@@ -98,8 +99,9 @@ def _phi_per_term(f, nvars):
 class TestPhiAgainstPerTermReference:
     @given(st.data())
     @settings(max_examples=80, deadline=None)
-    def test_grouped_denominators_match(self, data):
-        d = data.draw(st.integers(1, 3))
+    def test_per_monomial_determinants_match(self, data):
+        # exponents down to -3 give all-zero rows (e_i + d - 1 < 0) for d <= 3
+        d = data.draw(st.integers(1, 5))
         kind = data.draw(st.sampled_from(["int", "fraction", "graded"]))
         base = formal_segre(2)
         terms = {}
@@ -126,6 +128,37 @@ class TestPhiAgainstPerTermReference:
         got = phi(f, 2)
         assert type(got) is Fraction
         assert got == _phi_per_term(f, 2)
+
+
+class TestIntDet:
+    """The fraction-free elimination behind phi, against the division-free
+    generic determinant of ``exact``."""
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_generic_det(self, data):
+        n = data.draw(st.integers(1, 6))
+        entry = st.integers(-5, 5) | st.just(0)
+        rows = [[data.draw(entry) for _ in range(n)] for _ in range(n)]
+        if n > 1 and data.draw(st.booleans()):  # a zero first pivot
+            rows[0][0] = 0
+        if n > 1 and data.draw(st.booleans()):  # rank deficient: row i is a multiple of row j
+            i, j = data.draw(st.permutations(range(n)))[:2]
+            rows[i] = [data.draw(st.integers(-2, 2)) * v for v in rows[j]]
+        if data.draw(st.booleans()):  # an all-zero row
+            rows[data.draw(st.integers(0, n - 1))] = [0] * n
+        expected = det(rows)
+        assert pushforward._int_det([list(row) for row in rows]) == expected
+
+    @pytest.mark.parametrize("rows, value", [
+        ([[7]], 7),
+        ([[0, 1], [1, 0]], -1),
+        ([[0, 2, 1], [0, 1, 5], [3, 4, 1]], 27),
+        ([[0, 1, 2], [0, 3, 4], [0, 5, 6]], 0),
+        ([[1, 2], [2, 4]], 0),
+    ])
+    def test_pivoting_examples(self, rows, value):
+        assert pushforward._int_det(rows) == value
 
 
 class TestFactorialDet:
@@ -314,6 +347,21 @@ class TestChernCharacterRoutes:
             ch_pushforward_oracle(E, d),
         ):
             assert closed.same_components(other), (roots, n, d, other.method)
+
+    @pytest.mark.parametrize("case", ["formal r=6 d=3 n=3", "split over P3"])
+    def test_constterm_calls_no_other_route(self, fm3, monkeypatch, case):
+        if case.startswith("formal"):
+            E, d = BundleModel.formal(fm3, 6), 3
+        else:
+            E, d = BundleModel.from_chern_roots(projective_space(3), [2, 1, 0, -1]), 2
+        closed = ch_pushforward_closed(E, d)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("constterm reached another route's helper")
+
+        for name in ("phi_eval_monomial", "closed_term_coefficient", "factorial_det_check"):
+            monkeypatch.setattr(pushforward, name, refuse)
+        assert ch_pushforward_constterm(E, d).same_components(closed)
 
     def test_theta_power_accessor(self, fm3):
         E = BundleModel.formal(fm3, 4)
