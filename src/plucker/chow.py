@@ -164,9 +164,14 @@ class GradedElement(SparseTerms):
         clean = {}
         if terms:
             n = model.n
+            ngens = len(model.gen_names)
             for exps, coeff in terms.items():
                 _refuse_float(coeff)
                 exps = tuple(exps)
+                if len(exps) != ngens or any(e < 0 for e in exps):
+                    raise ValueError(
+                        f"exponent vector {exps} needs {ngens} nonnegative entries"
+                    )
                 if coeff and model._degree(exps) <= n:
                     clean[exps] = coeff
         self.terms = clean
@@ -559,8 +564,12 @@ class FlagRing:
     def from_terms(self, terms) -> "FlagRingElement":
         """Normal form of a map from exponent tuples, any of them at or
         above its bound, to coefficients coerced as by the element."""
-        if any(e < 0 for exps in terms for e in exps):
-            raise ValueError("flag-ring monomials need nonnegative exponents")
+        d = self.d
+        for exps in terms:
+            if len(exps) != d or any(e < 0 for e in exps):
+                raise ValueError(
+                    f"flag-ring monomial {tuple(exps)} needs {d} nonnegative exponents"
+                )
         raw = FlagRingElement(self, terms).terms
         return FlagRingElement(self, self._normalize(raw))
 

@@ -1,5 +1,5 @@
-"""Exact scalars, the sparse-term core, and sparse multivariate Laurent
-polynomials.
+"""Exact scalars, the sparse-term core, sparse multivariate Laurent
+polynomials, and the one alternant core.
 
 Scalars are Python ``int``s wherever they are integral and
 ``fractions.Fraction``s where a denominator enters (factorial weights,
@@ -17,6 +17,15 @@ so equality is structural equality of term maps.  Nothing in this module
 (or this package) ever rounds: floating point is banned end to end, a
 float coefficient is refused with ``TypeError``, and no division here
 produces a float.
+
+Every Vandermonde and alternant in the package is computed here, once:
+:func:`vandermonde_at` is the product prod_{i<j} (v_i - v_j) at given
+values, :func:`alternant` the polynomial det[t_i^(p_j)] built term by
+term, :func:`vandermonde` its cached staircase case, and :func:`det` the
+one division-free determinant over a commutative ring.  Only
+``pushforward.phi`` keeps its own integer determinant, so that the
+constant-term route never evaluates the product formula it is checked
+against.
 """
 
 from __future__ import annotations
@@ -24,8 +33,8 @@ from __future__ import annotations
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
-from math import factorial
+from itertools import combinations, permutations
+from math import factorial, prod
 from operator import add as _add
 
 _ZERO = 0
@@ -58,22 +67,9 @@ def inv_factorial(m: int) -> Fraction:
 
 
 def perm_sign(perm) -> int:
-    """Sign of a permutation given as a sequence of distinct integers."""
-    sign = 1
-    seen = [False] * len(perm)
-    order = sorted(range(len(perm)), key=lambda i: perm[i])
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = order[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+    """Sign of a permutation given as a sequence of distinct integers:
+    -1 to the number of its inversions."""
+    return -1 if sum(a > b for a, b in combinations(perm, 2)) % 2 else 1
 
 
 def exponent_vectors(length: int, *, max_entry=None, max_total=None):
@@ -383,61 +379,46 @@ def const_of_product(a: LaurentPoly, b: LaurentPoly):
     return total
 
 
-@lru_cache(maxsize=None)
-def vandermonde(nvars: int) -> LaurentPoly:
-    """The product of (t_i - t_j) over i < j; 1 for a single variable.
+def vandermonde_at(values):
+    """The Vandermonde product prod_{i<j} (v_i - v_j) of the values in
+    their given order; 1 for fewer than two values."""
+    return prod(a - b for a, b in combinations(values, 2))
 
-    Built term by term as det[t_i^(nvars-1-j)]: each permutation p gives
-    sgn(p) * prod t_i^(nvars-1-p(i)).  No polynomial product is formed.
-    Cached: instances are immutable by convention, so sharing is safe.
+
+def alternant(powers) -> LaurentPoly:
+    """The alternant det[t_i^(powers[j])] in len(powers) variables.
+
+    Built term by term: each permutation p gives
+    sgn(p) * prod t_i^(powers[p(i)]), so no polynomial product is formed.
+    Repeated powers cancel to the zero polynomial.
     """
+    nvars = len(powers)
     if nvars < 1:
         raise ValueError("need at least one variable")
-    top = nvars - 1
-    return LaurentPoly(nvars, {
-        tuple(top - p for p in perm): perm_sign(perm)
-        for perm in permutations(range(nvars))
-    })
+    out = {}
+    for perm in permutations(range(nvars)):
+        _accumulate(out, tuple(powers[p] for p in perm), perm_sign(perm))
+    return LaurentPoly(nvars, out)
+
+
+@lru_cache(maxsize=None)
+def vandermonde(nvars: int) -> LaurentPoly:
+    """The product of (t_i - t_j) over i < j, as the alternant of the
+    staircase powers (nvars-1, ..., 1, 0); 1 for a single variable.
+    Cached: instances are immutable by convention, so sharing is safe.
+    """
+    return alternant(range(nvars - 1, -1, -1))
 
 
 def det(rows):
-    """Determinant of a square matrix over a commutative ring.
-
-    Cofactor expansion for small matrices, subset dynamic programming for
-    the rest.  Both are division free, so entries may come from rings with
-    zero divisors (truncated graded rings, Laurent polynomials, ...).
+    """Determinant of a square matrix over a commutative ring, by dynamic
+    programming over the sets of columns used by the rows so far (2^n
+    partial sums, no division).  Entries may therefore come from rings
+    with zero divisors (truncated graded rings, Laurent polynomials, ...).
     """
     n = len(rows)
     if n == 0 or any(len(row) != n for row in rows):
         raise ValueError("matrix must be square and nonempty")
-    rows = [list(row) for row in rows]
-    if n <= 4:
-        return _det_cofactor(rows)
-    return _det_subsets(rows)
-
-
-def _det_cofactor(rows):
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    acc = None
-    for j in range(n):
-        pivot = rows[0][j]
-        if not pivot:
-            continue
-        minor = [[row[c] for c in range(n) if c != j] for row in rows[1:]]
-        term = pivot * _det_cofactor(minor)
-        if j % 2:
-            term = -term
-        acc = term if acc is None else acc + term
-    if acc is None:
-        # the first row is identically zero
-        return rows[0][0]
-    return acc
-
-
-def _det_subsets(rows):
-    n = len(rows)
     state = {}
     for j, entry in enumerate(rows[0]):
         if entry:

@@ -25,7 +25,8 @@ from fractions import Fraction
 from math import factorial, perm, prod
 
 from .chow import FlagRing, GradedElement
-from .exact import LaurentPoly, const_of_product, det, exponent_vectors, inv_factorial, vandermonde
+from .exact import (LaurentPoly, const_of_product, det, exponent_vectors, inv_factorial,
+                    vandermonde, vandermonde_at)
 from .symfunc import partitions_up_to, schur_delta, segre_product, syt_count, weight
 
 _ZERO = Fraction(0)
@@ -82,19 +83,8 @@ def phi_eval_monomial(k) -> Fraction:
     d = len(k)
     if any(x < 0 for x in k):
         raise ValueError("exponents must be nonnegative")
-    num = 1
-    for i in range(d):
-        for j in range(i + 1, d):
-            num *= k[i] - k[j]
-    if num == 0:
-        return _ZERO
-    den = 1
-    for x in k:
-        den *= factorial(x + d - 1)
-    value = Fraction(num, den)
-    if (d * (d - 1) // 2) % 2:
-        value = -value
-    return value
+    sign = -1 if (d * (d - 1) // 2) % 2 else 1
+    return Fraction(sign * vandermonde_at(k), prod(factorial(x + d - 1) for x in k))
 
 
 def factorial_det_check(x) -> bool:
@@ -104,16 +94,8 @@ def factorial_det_check(x) -> bool:
     d = len(x)
     if any(v < 0 for v in x):
         raise ValueError("entries must be nonnegative")
-    matrix = [[inv_factorial(x[i] + j) for j in range(d)] for i in range(d)]
-    lhs = det(matrix)
-    num = 1
-    for i in range(d):
-        for j in range(i + 1, d):
-            num *= x[i] - x[j]
-    den = 1
-    for v in x:
-        den *= factorial(v + d - 1)
-    return lhs == Fraction(num, den)
+    lhs = det([[inv_factorial(v + j) for j in range(d)] for v in x])
+    return lhs == Fraction(vandermonde_at(x), prod(factorial(v + d - 1) for v in x))
 
 
 def _as_element(base, value) -> GradedElement:
@@ -202,17 +184,11 @@ def closed_term_coefficient(k, r: int, denominator: str = PROOF) -> Fraction:
     if denominator not in (PROOF, DISPLAYED):
         raise ValueError(f"unknown denominator variant {denominator!r}")
     k = tuple(k)
-    num = 1
-    for i in range(len(k)):
-        for j in range(i + 1, len(k)):
-            num *= k[i] - k[j] - i + j
-    if num == 0:
-        return _ZERO
-    den = 1
-    for i, ki in enumerate(k):
-        base = r + ki - i - 1 if denominator == PROOF else r + ki - i
-        den *= factorial(base)
-    return Fraction(num, den)
+    shift = 1 if denominator == PROOF else 0
+    return Fraction(
+        vandermonde_at([ki - i for i, ki in enumerate(k)]),
+        prod(factorial(r + ki - i - shift) for i, ki in enumerate(k)),
+    )
 
 
 def _closed_terms(bundle, d: int, denominator: str, total=None):

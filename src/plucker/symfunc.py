@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import permutations
 from math import factorial, lcm, prod
 
-from .exact import LaurentPoly, det, perm_sign, vandermonde
+from .exact import LaurentPoly, alternant, det, perm_sign, vandermonde, vandermonde_at
 
 
 def is_partition(mu) -> bool:
@@ -70,19 +70,9 @@ def syt_count(mu) -> int:
     mu = tuple(mu)
     if not is_partition(mu):
         raise ValueError(f"{mu} is not a partition")
-    w = weight(mu)
-    if w == 0:
-        return 1
     d = len(mu)
     ls = [mu[i] + d - 1 - i for i in range(d)]
-    num = factorial(w)
-    for i in range(d):
-        for j in range(i + 1, d):
-            num *= ls[i] - ls[j]
-    den = 1
-    for l in ls:
-        den *= factorial(l)
-    count = Fraction(num, den)
+    count = Fraction(factorial(weight(mu)) * vandermonde_at(ls), prod(map(factorial, ls)))
     if count.denominator != 1:
         raise AssertionError(f"tableau count for {mu} is not an integer: {count}")
     return int(count)
@@ -120,8 +110,10 @@ def standard_tableaux(mu):
 
 
 def schur_in_t(lam, nvars: int) -> LaurentPoly:
-    """Schur polynomial s_lam(t_0..t_{nvars-1}) by exact bialternant
-    division; the zero-remainder assertion doubles as a self-check."""
+    """Schur polynomial s_lam(t_0..t_{nvars-1}) as the bialternant
+    a_(lam + delta) / a_delta: the alternant of the powers
+    lam_i + nvars - 1 - i divided exactly by :func:`vandermonde`.  The
+    division must leave no remainder, which doubles as a self-check."""
     lam = tuple(lam)
     if len(lam) > nvars:
         if any(lam[nvars:]):
@@ -130,16 +122,7 @@ def schur_in_t(lam, nvars: int) -> LaurentPoly:
     lam = lam + (0,) * (nvars - len(lam))
     if not is_partition(lam):
         raise ValueError(f"{lam} is not a partition")
-    matrix = []
-    for i in range(1, nvars + 1):
-        power = lam[i - 1] + nvars - i
-        matrix.append(
-            [
-                LaurentPoly.monomial(nvars, tuple(power if k == j else 0 for k in range(nvars)))
-                for j in range(nvars)
-            ]
-        )
-    numerator = det(matrix)
+    numerator = alternant([lam[i] + nvars - 1 - i for i in range(nvars)])
     return numerator.divexact(vandermonde(nvars))
 
 
@@ -218,14 +201,6 @@ def antisymmetrize(f: LaurentPoly, block) -> LaurentPoly:
     return result
 
 
-def _vandermonde_at(values):
-    acc = 1
-    for i in range(len(values)):
-        for j in range(i + 1, len(values)):
-            acc *= values[i] - values[j]
-    return acc
-
-
 def _random_fraction(rng, height):
     return Fraction(rng.randint(-height, height), rng.randint(1, height))
 
@@ -243,7 +218,7 @@ def _signed_block_sum(xs, d, perms, weights):
     total = 0
     for sign, perm in perms:
         vals = [xs[p] for p in perm]
-        total += (sign * _vandermonde_at(vals[:d]) * _vandermonde_at(vals[d:])
+        total += (sign * vandermonde_at(vals[:d]) * vandermonde_at(vals[d:])
                   * prod(weights[p] for p in perm[d:]))
     return total
 
@@ -256,7 +231,7 @@ def _tau_point_holds(xs, taus, d, perms, scale):
     ints, _ = _to_integers(list(xs) + list(taus))
     xs, taus = ints[:len(xs)], ints[len(xs):]
     weights = [prod(tau - x for tau in taus) for x in xs]
-    return _signed_block_sum(xs, d, perms, weights) == scale * _vandermonde_at(xs)
+    return _signed_block_sum(xs, d, perms, weights) == scale * vandermonde_at(xs)
 
 
 def _t_point_holds(xs, ts, d, perms, scale):
@@ -268,7 +243,7 @@ def _t_point_holds(xs, ts, d, perms, scale):
     ts, big_m = _to_integers(ts)
     lm = big_l * big_m
     weights = [prod(lm - x * t for t in ts) for x in xs]
-    rhs = scale * _vandermonde_at(xs) * prod(t ** (len(xs) - d) for t in ts)
+    rhs = scale * vandermonde_at(xs) * prod(t ** (len(xs) - d) for t in ts)
     return _signed_block_sum(xs, d, perms, weights) == rhs
 
 

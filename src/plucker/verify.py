@@ -88,6 +88,14 @@ def _first_difference(name_a, a, name_b, b) -> str:
     return f"{name_a} and {name_b} differ at {mono}: {coeff_a} vs {coeff_b}"
 
 
+def _first_failure(key, failures) -> CaseResult:
+    """The case ``key``: failed with the first detail that the generator
+    ``failures`` yields, else passed.  The generator is not resumed after
+    a failure, so its random draws stop there."""
+    detail = next(failures, None)
+    return CaseResult(key, detail is None, detail or "")
+
+
 def check_fourway(bundle, d: int) -> CaseResult:
     """One agreement-grid case: the three formula routes and the oracle
     must agree exactly, theta powers must vanish below the relative
@@ -182,54 +190,42 @@ def run_phi_suite(seed: int = 7, antisym_trials: int = 200, shift_trials: int = 
                   max_power: int = 8, max_d: int = 4):
     """The linear-functional suite: closed form on every small monomial,
     antisymmetry under variable permutations, and the Schur-shift rule."""
-    results = []
-
-    def grid_case():
+    def grid_failures():
         for d in range(1, max_d + 1):
             for k in exponent_vectors(d, max_entry=max_power):
                 if phi(LaurentPoly.monomial(d, k), d) != phi_eval_monomial(k):
-                    return CaseResult(
-                        "phi closed form on monomial grid", False, f"k={k}"
-                    )
-        return CaseResult("phi closed form on monomial grid", True)
-
-    results.append(grid_case())
+                    yield f"k={k}"
 
     rng = random.Random(seed)
-    ok = True
-    detail = ""
-    for _ in range(antisym_trials):
-        d = rng.randint(2, max_d)
-        f = _random_laurent(rng, d)
-        perm = list(range(d))
-        rng.shuffle(perm)
-        lhs = phi(f.permute_variables(perm), d)
-        rhs = phi(f, d)
-        if perm_sign(perm) < 0:
-            rhs = -rhs
-        if lhs != rhs:
-            ok = False
-            detail = f"perm={perm} f={f!r}"
-            break
-    results.append(CaseResult(f"phi antisymmetry ({antisym_trials} random cases)", ok, detail))
 
-    ok = True
-    detail = ""
-    for _ in range(shift_trials):
-        d = rng.randint(1, 3)
-        base_poly = _random_laurent(rng, d, nterms=3, low=0, high=4)
-        f = _symmetrize(base_poly)
-        lam = rng.choice(list(partitions_up_to(d, 4)))
-        stair = LaurentPoly.monomial(d, tuple(-i for i in range(d)))
-        lhs = phi(stair * f * schur_in_t(lam, d), d)
-        shifted = LaurentPoly.monomial(d, tuple(lam[i] - i for i in range(d)))
-        rhs = phi(shifted * f, d)
-        if lhs != rhs:
-            ok = False
-            detail = f"d={d} lam={lam}"
-            break
-    results.append(CaseResult(f"phi Schur shift ({shift_trials} random symmetric cases)", ok, detail))
-    return results
+    def antisymmetry_failures():
+        for _ in range(antisym_trials):
+            d = rng.randint(2, max_d)
+            f = _random_laurent(rng, d)
+            perm = list(range(d))
+            rng.shuffle(perm)
+            if phi(f.permute_variables(perm), d) != perm_sign(perm) * phi(f, d):
+                yield f"perm={perm} f={f!r}"
+
+    def shift_failures():
+        for _ in range(shift_trials):
+            d = rng.randint(1, 3)
+            f = _symmetrize(_random_laurent(rng, d, nterms=3, low=0, high=4))
+            lam = rng.choice(list(partitions_up_to(d, 4)))
+            stair = LaurentPoly.monomial(d, tuple(-i for i in range(d)))
+            lhs = phi(stair * f * schur_in_t(lam, d), d)
+            shifted = LaurentPoly.monomial(d, tuple(lam[i] - i for i in range(d)))
+            if lhs != phi(shifted * f, d):
+                yield f"d={d} lam={lam}"
+
+    # in report order: the two random cases share one rng
+    return [
+        _first_failure("phi closed form on monomial grid", grid_failures()),
+        _first_failure(f"phi antisymmetry ({antisym_trials} random cases)",
+                       antisymmetry_failures()),
+        _first_failure(f"phi Schur shift ({shift_trials} random symmetric cases)",
+                       shift_failures()),
+    ]
 
 
 def run_identity_suite(
@@ -241,18 +237,18 @@ def run_identity_suite(
 ):
     """Factorial determinant, Cauchy expansion, and the generalized
     Cauchy determinant identity at random rational points."""
-    results = []
     rng = random.Random(seed)
-    ok = True
-    detail = ""
-    for _ in range(det_trials):
-        d = rng.randint(1, 4)
-        x = tuple(rng.randint(0, 10) for _ in range(d))
-        if not factorial_det_check(x):
-            ok = False
-            detail = f"x={x}"
-            break
-    results.append(CaseResult(f"factorial determinant ({det_trials} random cases)", ok, detail))
+
+    def det_failures():
+        for _ in range(det_trials):
+            d = rng.randint(1, 4)
+            x = tuple(rng.randint(0, 10) for _ in range(d))
+            if not factorial_det_check(x):
+                yield f"x={x}"
+
+    results = [
+        _first_failure(f"factorial determinant ({det_trials} random cases)", det_failures())
+    ]
 
     for rank in (2, 3, 4):
         bundle = BundleModel.formal(formal_segre(cauchy_truncation), rank)

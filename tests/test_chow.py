@@ -89,6 +89,17 @@ class TestGradedElement:
         assert a != b
         assert (a * b).homogeneous_degree() == 2
 
+    @pytest.mark.parametrize("exps", [(1, 5), (), (-1,)])
+    def test_refuses_wrong_length_or_negative_exponents(self, p2, exps):
+        # (1, 5) once printed as h, and () compared unequal to its scalar
+        with pytest.raises(ValueError):
+            GradedElement(p2, {exps: 3})
+
+    def test_point_takes_the_empty_exponent_vector(self):
+        assert GradedElement(point(), {(): 3}) == 3
+        with pytest.raises(ValueError):
+            GradedElement(point(), {(0,): 3})
+
     def test_repr_spot_checks(self, p2, fm3):
         assert repr(p2.zero()) == "0"
         assert repr(p2.hyperplane() * 2 + p2.one()) == "1 + 2*h"
@@ -196,6 +207,13 @@ class TestFlagRing:
         xi = ring.xi(0)
         expected = ring.from_terms({(1,): p1.hyperplane() * 2})
         assert xi * xi == expected
+
+    @pytest.mark.parametrize("exps", [(3, 2, 5), (3,), (1, -1)])
+    def test_from_terms_refuses_wrong_length_or_negative(self, fm3, exps):
+        # (3, 2, 5) once pushed forward to 1: the third exponent was dropped
+        ring = FlagRing(BundleModel.formal(fm3, 4), 2)
+        with pytest.raises(ValueError):
+            ring.from_terms({exps: 1})
 
     def test_kernel_chern_reduction_formal(self, fm3):
         E = BundleModel.formal(fm3, 3)

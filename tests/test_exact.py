@@ -1,10 +1,12 @@
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from plucker.exact import (
     LaurentPoly,
+    alternant,
     const_of_product,
     const_term,
     det,
@@ -98,14 +100,24 @@ class TestVandermonde:
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_bialternant_consistency(self, d):
-        matrix = [
-            [
-                LaurentPoly.monomial(d, tuple(d - 1 - i if k == j else 0 for k in range(d)))
-                for j in range(d)
+        # alternant(powers) is det[t_i^(powers[j])] for every power tuple,
+        # negative and repeated powers (which give 0) included
+        def monomial_matrix(powers):
+            return [
+                [
+                    LaurentPoly.monomial(d, tuple(p if k == i else 0 for k in range(d)))
+                    for p in powers
+                ]
+                for i in range(d)
             ]
-            for i in range(d)
-        ]
-        assert det(matrix) == vandermonde(d)
+
+        staircase = tuple(range(d - 1, -1, -1))
+        assert det(monomial_matrix(staircase)) == vandermonde(d) == alternant(staircase)
+        for vec in exponent_vectors(d, max_entry=3):
+            powers = tuple(e - 1 for e in vec)
+            got = alternant(powers)
+            assert got == det(monomial_matrix(powers))
+            assert bool(got) == (len(set(powers)) == d)
 
 
 class TestDet:
@@ -145,17 +157,27 @@ class TestDet:
         rows.insert(dup, list(rows[dup]))
         assert not det(rows)
 
-    @given(st.integers(min_value=5, max_value=6), st.data())
-    @settings(max_examples=10)
-    def test_subset_dp_matches_cofactor(self, n, data):
-        # the two determinant algorithms must agree above the cutover size
-        rows = [
-            [Fraction(data.draw(st.integers(-5, 5))) for _ in range(n)]
-            for _ in range(n)
-        ]
-        from plucker.exact import _det_cofactor
+    @given(st.integers(min_value=1, max_value=6), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_leibniz_sum(self, n, data):
+        # non-integral Fractions, or Laurent polynomials (zero ones included)
+        if data.draw(st.booleans()):
+            entry = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
+        else:
+            entry = laurent_polys(nvars=2)
+        rows = [[data.draw(entry) for _ in range(n)] for _ in range(n)]
+        assert det(rows) == _leibniz(rows)
 
-        assert det(rows) == _det_cofactor([list(r) for r in rows])
+
+def _leibniz(rows):
+    """sum over permutations p of sgn(p) * prod_i rows[i][p(i)]."""
+    terms = []
+    for perm in permutations(range(len(rows))):
+        term = perm_sign(perm)
+        for i, j in enumerate(perm):
+            term = term * rows[i][j]
+        terms.append(term)
+    return sum(terms[1:], terms[0])
 
 
 class TestInvFactorial:
@@ -304,9 +326,8 @@ class TestVariableMaps:
 
 
 def test_perm_sign_matches_inversion_count():
-    from itertools import permutations
-
-    for perm in permutations(range(4)):
+    perms = list(permutations(range(4)))
+    for perm in perms:
         inversions = sum(
             1
             for i in range(4)
@@ -314,6 +335,12 @@ def test_perm_sign_matches_inversion_count():
             if perm[i] > perm[j]
         )
         assert perm_sign(perm) == (-1) ** inversions
+        # a homomorphism that sends a transposition to -1
+        for other in perms:
+            composed = [perm[k] for k in other]
+            assert perm_sign(composed) == perm_sign(perm) * perm_sign(other)
+    assert perm_sign((1, 0, 2, 3)) == perm_sign((3, 1, 2, 0)) == -1
+    assert perm_sign((10, -2, 7)) == perm_sign((2, 0, 1))
 
 
 class TestExponentVectors:

@@ -48,6 +48,11 @@ GOLDEN = [
      "17c2049bba5b18d40420522e951fe2e70352021fbe35ec616e47e47a725f4d74"),
     (("verify", "--max-rank", "3") + JSON, 0,
      "0be9df3c86efaecb51bbbc57336d30c6eebd79794200aa9774a469f6e0af4277"),
+    (("identity-check", "--trials", "30", "--truncation", "4") + JSON, 0,
+     "ac62614da21f62fe46cf9190a5e0502a05328e01b9b3403a750230da67c73e55"),
+    (("degree", "--base", "point", "--rank", "5", "-d", "2", "--denominator", "displayed")
+     + JSON, 0,
+     "086682d12cac01aa4029e9a99453c8b5abf35b4fbd39259ca59b7deed58f3d62"),
 ]
 
 
