@@ -49,15 +49,17 @@ print("is a polynomial identity, not a numerical coincidence.")
 print()
 
 # ---------------------------------------------------------------------------
-# The same data carries the push-forwards of the individual theta powers.
+# The same class carries the push-forwards of the individual theta powers.
 # ---------------------------------------------------------------------------
-# Component m equals (push-forward of theta^N) / N! for N = d(r-d) + m.
+# Each route returns one element of the base ring.  Its component m equals
+# (push-forward of theta^N) / N! for N = d(r-d) + m; below the relative
+# dimension the component index is negative and the component is zero.
 ring = FlagRing(E, d)
 rel = d * (E.rank - d)
 print(f"theta-power push-forwards (relative dimension {rel}):")
 for N in range(rel + base.n + 1):
     from_ring = ring.pushforward_theta_power(N)
-    from_series = series["closed"].theta_power(N)
+    from_series = series["closed"].component(N - rel) * factorial(N)
     assert from_ring == from_series
     print(f"  theta^{N:<2} -> {from_ring!r}")
 print()

@@ -26,7 +26,6 @@ from .pushforward import (
     ALL_METHODS,
     DISPLAYED,
     PROOF,
-    PushforwardSeries,
     ch_pushforward,
     ch_pushforward_closed,
     ch_pushforward_constterm,
@@ -63,7 +62,6 @@ __all__ = [
     "GradedElement",
     "LaurentPoly",
     "PROOF",
-    "PushforwardSeries",
     "antisymmetrize",
     "cauchy_expand_check",
     "ch_pushforward",

@@ -300,7 +300,7 @@ def cmd_degree(merged) -> int:
         return 0
     print(f"Pluecker degree of the corank-{d} Grassmann bundle")
     print(f"  bundle: {bundle.label}")
-    print(f"  base:   {result.base} (dimension {result.base_dim})")
+    print(f"  base:   {base!r} (dimension {base.n})")
     print(f"  denominator variant: {denominator}")
     print("  note: assumes the Pluecker embedding hypothesis (a very ample"
           " exterior power); not checked here")
@@ -323,7 +323,7 @@ def cmd_chern_pushforward(merged) -> int:
         method: ch_pushforward(bundle, d, method, denominator)
         for method in ALL_METHODS
     }
-    agree = all(series["closed"].same_components(other) for other in series.values())
+    agree = all(series["closed"] == other for other in series.values())
     degrees = list(range(base.n + 1))
     if fmt == "json":
         docs = []

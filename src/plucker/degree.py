@@ -26,12 +26,6 @@ class DegreeResult:
     """Computed degree plus the per-exponent-vector contributions."""
 
     degree: Fraction
-    rank: int
-    d: int
-    base_dim: int
-    base: str
-    bundle: str
-    denominator: str
     breakdown: tuple
 
     @property
@@ -39,10 +33,7 @@ class DegreeResult:
         return self.degree.denominator == 1
 
     def __repr__(self):
-        return (
-            f"DegreeResult(degree={exact_str(self.degree)}, rank={self.rank}, d={self.d}, "
-            f"base={self.base}, denominator={self.denominator!r})"
-        )
+        return f"DegreeResult(degree={exact_str(self.degree)})"
 
 
 def plucker_degree(bundle, d: int, denominator: str = PROOF) -> DegreeResult:
@@ -51,10 +42,9 @@ def plucker_degree(bundle, d: int, denominator: str = PROOF) -> DegreeResult:
     base = bundle.base
     if base.kind == FORMAL:
         raise ValueError("degree needs a concrete base")
-    r = bundle.rank
+    r, n = bundle.rank, base.n
     if not 1 <= d <= r:
         raise ValueError("need 1 <= d <= rank")
-    n = base.n
     scale = Fraction(factorial(d * (r - d) + n))
     breakdown = []
     total = Fraction(0)
@@ -63,16 +53,7 @@ def plucker_degree(bundle, d: int, denominator: str = PROOF) -> DegreeResult:
         if value:
             breakdown.append((k, value))
             total += value
-    return DegreeResult(
-        degree=total,
-        rank=r,
-        d=d,
-        base_dim=n,
-        base=repr(base),
-        bundle=bundle.label,
-        denominator=denominator,
-        breakdown=tuple(breakdown),
-    )
+    return DegreeResult(total, tuple(breakdown))
 
 
 def fiber_degree_hook(r: int, d: int) -> int:

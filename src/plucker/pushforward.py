@@ -12,6 +12,10 @@ the push-forward of exp(theta) to the base is computed here
   functional :func:`phi` ("constterm"),
 * and by raw reduction in the flag-bundle quotient ring ("oracle").
 
+Each route returns the push-forward as one element of the base ring
+(a :class:`GradedElement`).  Its degree-m part ``value.component(m)``
+times N! is the push-forward of theta^N for N = d(r-d) + m.
+
 All four agree exactly, and the test suite insists on it.  The published
 closed form exists in two variants differing by one in each factorial of
 the denominator; only the variant implemented as ``"proof"`` matches the
@@ -27,7 +31,7 @@ from math import factorial, perm, prod
 from .chow import FlagRing, GradedElement
 from .exact import (LaurentPoly, const_of_product, det, exponent_vectors, inv_factorial,
                     vandermonde, vandermonde_at)
-from .symfunc import partitions_up_to, schur_delta, segre_product, syt_count, weight
+from .symfunc import partitions_up_to, schur_delta, segre_det, segre_product, syt_count, weight
 
 _ZERO = Fraction(0)
 
@@ -122,55 +126,19 @@ def monomial_pushforward_det(p, bundle, d: int) -> GradedElement:
     p = tuple(p)
     if len(p) != d or any(e < 0 for e in p):
         raise ValueError("need d nonnegative exponents")
-    r = bundle.rank
-    matrix = [
-        [bundle.segre_class(p[i] + j - r + 1) for j in range(d)] for i in range(d)
-    ]
-    return det(matrix)
+    return segre_det(bundle, [e - bundle.rank + 1 for e in p])
 
 
 def pushforward_polynomial(F: LaurentPoly, bundle, d: int) -> GradedElement:
     """Push-forward of F(x_0, ..., x_{d-1}) for a genuine polynomial F
-    with base-ring (or rational) coefficients:
-    const( Delta(t) prod t_i^{r-d} F(1/t) prod s(E, t_i) )."""
+    with base-ring (or rational) coefficients, by linearity: the sum of
+    coeff * :func:`monomial_pushforward_ct` over the monomials of F."""
     if F.nvars != d:
         raise ValueError("variable count mismatch")
-    if any(e < 0 for exps in F.terms for e in exps):
-        raise ValueError("F must be a polynomial, found a negative exponent")
-    f = F.invert_variables() * segre_product(bundle, (bundle.rank - d,) * d)
-    return _as_element(bundle.base, const_of_product(vandermonde(d), f))
-
-
-class PushforwardSeries:
-    """The pushed-forward Chern character of one route, as one element
-    ``value`` of the base ring.
-
-    Its degree-m part is ``component(m)``; the push-forward of theta^N
-    is recovered as N! times component N - d(r-d)."""
-
-    __slots__ = ("bundle", "d", "method", "value")
-
-    def __init__(self, bundle, d, method, value):
-        self.bundle = bundle
-        self.d = d
-        self.method = method
-        self.value = value
-
-    def component(self, m: int) -> GradedElement:
-        return self.value.component(m)
-
-    def theta_power(self, N: int) -> GradedElement:
-        """Push-forward of theta^N (zero below the relative dimension)."""
-        return self.component(N - self.d * (self.bundle.rank - self.d)) * factorial(N)
-
-    def same_components(self, other: "PushforwardSeries") -> bool:
-        return self.value == other.value
-
-    def __repr__(self):
-        rows = ", ".join(
-            f"[{m}] {self.component(m)!r}" for m in range(self.bundle.base.n + 1)
-        )
-        return f"<pushforward ch by {self.method}: {rows}>"
+    value = bundle.base.zero()
+    for p, coeff in F.terms.items():
+        value = value + monomial_pushforward_ct(p, bundle, d) * coeff
+    return value
 
 
 def closed_term_coefficient(k, r: int, denominator: str = PROOF) -> Fraction:
@@ -184,6 +152,8 @@ def closed_term_coefficient(k, r: int, denominator: str = PROOF) -> Fraction:
     if denominator not in (PROOF, DISPLAYED):
         raise ValueError(f"unknown denominator variant {denominator!r}")
     k = tuple(k)
+    if len(k) > r or any(ki < 0 for ki in k):
+        raise ValueError(f"need at most r={r} nonnegative exponents, got k={k}")
     shift = 1 if denominator == PROOF else 0
     return Fraction(
         vandermonde_at([ki - i for i, ki in enumerate(k)]),
@@ -209,7 +179,7 @@ def _closed_terms(bundle, d: int, denominator: str, total=None):
             yield k, coeff, term
 
 
-def ch_pushforward_closed(bundle, d: int, denominator: str = PROOF) -> PushforwardSeries:
+def ch_pushforward_closed(bundle, d: int, denominator: str = PROOF) -> GradedElement:
     """Closed-sum route: sum over k in Z_{>=0}^d of the factorial weight
     times prod s_{k_i}(E).  Exponents with |k| > n only feed degrees that
     are zero by truncation, so the sum stops at |k| = n."""
@@ -218,10 +188,10 @@ def ch_pushforward_closed(bundle, d: int, denominator: str = PROOF) -> Pushforwa
     value = bundle.base.zero()
     for _, coeff, term in _closed_terms(bundle, d, denominator):
         value = value + term * coeff
-    return PushforwardSeries(bundle, d, "closed", value)
+    return value
 
 
-def ch_pushforward_schur(bundle, d: int) -> PushforwardSeries:
+def ch_pushforward_schur(bundle, d: int) -> GradedElement:
     """Tableau route: sum over partitions lam with at most d parts of
     f^{lam + (r-d)^d} / |lam + (r-d)^d|! times the Schur determinant in
     the Segre classes."""
@@ -235,10 +205,10 @@ def ch_pushforward_schur(bundle, d: int) -> PushforwardSeries:
         term = schur_delta(lam, bundle)
         if term:
             value = value + term * coeff
-    return PushforwardSeries(bundle, d, "schur", value)
+    return value
 
 
-def ch_pushforward_constterm(bundle, d: int) -> PushforwardSeries:
+def ch_pushforward_constterm(bundle, d: int) -> GradedElement:
     """Laurent route: the push-forward equals
     const( Delta(t) prod t_i^{r-d-(d-1-i)} exp(sum 1/t_i) prod s(E, t_i) ),
     evaluated by feeding the series part through :func:`phi`."""
@@ -246,10 +216,10 @@ def ch_pushforward_constterm(bundle, d: int) -> PushforwardSeries:
     if not 1 <= d <= r:
         raise ValueError("need 1 <= d <= rank")
     f = segre_product(bundle, [r - d - (d - 1 - i) for i in range(d)])
-    return PushforwardSeries(bundle, d, "constterm", _as_element(bundle.base, phi(f, d)))
+    return _as_element(bundle.base, phi(f, d))
 
 
-def ch_pushforward_oracle(bundle, d: int, ring=None) -> PushforwardSeries:
+def ch_pushforward_oracle(bundle, d: int, ring=None) -> GradedElement:
     """Oracle route: push theta powers forward in the flag ring and divide
     by N!.  Independent of all three formula routes.  ``ring`` may be an
     already-built flag ring of the same bundle and corank, whose cached
@@ -262,13 +232,13 @@ def ch_pushforward_oracle(bundle, d: int, ring=None) -> PushforwardSeries:
     value = bundle.base.zero()
     for N in range(rel, rel + bundle.base.n + 1):
         value = value + ring.pushforward_theta_power(N) * inv_factorial(N)
-    return PushforwardSeries(bundle, d, "oracle", value)
+    return value
 
 
 ALL_METHODS = ("closed", "schur", "constterm", "oracle")
 
 
-def ch_pushforward(bundle, d: int, method: str, denominator: str = PROOF) -> PushforwardSeries:
+def ch_pushforward(bundle, d: int, method: str, denominator: str = PROOF) -> GradedElement:
     """Dispatch a single route by name."""
     if method == "closed":
         return ch_pushforward_closed(bundle, d, denominator)

@@ -18,6 +18,10 @@ from math import factorial, lcm, prod
 
 from .exact import LaurentPoly, alternant, det, perm_sign, vandermonde, vandermonde_at
 
+# random rational points of gen_cauchy_check have numerators in
+# [-SAMPLE_HEIGHT, SAMPLE_HEIGHT] and denominators in [1, SAMPLE_HEIGHT]
+SAMPLE_HEIGHT = 20
+
 
 def is_partition(mu) -> bool:
     return all(a >= b for a, b in zip(mu, mu[1:])) and all(a >= 0 for a in mu)
@@ -134,12 +138,13 @@ def schur_delta(lam, bundle):
         raise ValueError(f"{lam} is not a partition")
     if not lam:
         return bundle.base.one()
-    d = len(lam)
-    matrix = [
-        [bundle.segre_class(lam[i] + (j + 1) - (i + 1)) for j in range(d)]
-        for i in range(d)
-    ]
-    return det(matrix)
+    return segre_det(bundle, [part - i for i, part in enumerate(lam)])
+
+
+def segre_det(bundle, offsets):
+    """det[s_{offsets[i] + j}(E)] over i, j < len(offsets)."""
+    d = len(offsets)
+    return det([[bundle.segre_class(offsets[i] + j) for j in range(d)] for i in range(d)])
 
 
 def segre_product(bundle, shifts) -> LaurentPoly:
@@ -154,18 +159,6 @@ def segre_product(bundle, shifts) -> LaurentPoly:
     return product
 
 
-def cauchy_product_sides(bundle, nvars: int, max_t_degree: int):
-    """Both sides of the Cauchy expansion of prod_i s(E, t_i), truncated
-    to total t-degree <= max_t_degree."""
-    lhs = segre_product(bundle, (0,) * nvars).truncate_total_degree(max_t_degree)
-    rhs = LaurentPoly.zero(nvars)
-    for lam in partitions_up_to(nvars, max_t_degree):
-        coeff = schur_delta(lam, bundle)
-        if coeff:
-            rhs = rhs + schur_in_t(lam, nvars) * coeff
-    return lhs, rhs.truncate_total_degree(max_t_degree)
-
-
 def cauchy_expand_check(bundle, nvars: int, max_t_degree: int) -> bool:
     """Check prod_i s(E, t_i) = sum over partitions of
     schur_delta(lam, E) * s_lam(t), truncated by t-degree."""
@@ -173,12 +166,14 @@ def cauchy_expand_check(bundle, nvars: int, max_t_degree: int) -> bool:
 
 
 def cauchy_mismatch_witness(bundle, nvars: int, max_t_degree: int):
-    """None when the Cauchy expansion holds, else one offending monomial."""
-    lhs, rhs = cauchy_product_sides(bundle, nvars, max_t_degree)
-    diff = lhs - rhs
-    if not diff:
-        return None
-    return min(diff.terms)
+    """None when the Cauchy expansion of prod_i s(E, t_i), truncated to
+    total t-degree <= max_t_degree, holds, else one offending monomial."""
+    diff = segre_product(bundle, (0,) * nvars).truncate_total_degree(max_t_degree)
+    for lam in partitions_up_to(nvars, max_t_degree):  # s_lam has t-degree |lam|
+        coeff = schur_delta(lam, bundle)
+        if coeff:
+            diff = diff - schur_in_t(lam, nvars) * coeff
+    return min(diff.terms) if diff else None
 
 
 def antisymmetrize(f: LaurentPoly, block) -> LaurentPoly:
@@ -247,8 +242,7 @@ def _t_point_holds(xs, ts, d, perms, scale):
     return _signed_block_sum(xs, d, perms, weights) == rhs
 
 
-def gen_cauchy_check(r: int, d: int, trials: int = 100, seed: int = 0,
-                     height: int = 20) -> bool:
+def gen_cauchy_check(r: int, d: int, trials: int = 100, seed: int = 0) -> bool:
     """Verify the generalized Cauchy determinant identity at random
     rational points, in both the tau form and the t = 1/tau form.
 
@@ -266,10 +260,10 @@ def gen_cauchy_check(r: int, d: int, trials: int = 100, seed: int = 0,
     scale = factorial(d) * factorial(r - d)
     perms = [(perm_sign(p), p) for p in permutations(range(r))]
     for _ in range(trials):
-        xs, taus = _sample_tau_point(rng, r, d, height)
+        xs, taus = _sample_tau_point(rng, r, d, SAMPLE_HEIGHT)
         if not _tau_point_holds(xs, taus, d, perms, scale):
             return False
-        xs, ts = _sample_t_point(rng, r, d, height)
+        xs, ts = _sample_t_point(rng, r, d, SAMPLE_HEIGHT)
         if not _t_point_holds(xs, ts, d, perms, scale):
             return False
     return True

@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import permutations
+from math import factorial
 
 from .chow import BundleModel, FlagRing, formal_segre, point, projective_space
 from .degree import fiber_degree_hook, plucker_degree
@@ -33,6 +34,14 @@ from .symfunc import cauchy_mismatch_witness, gen_cauchy_check, partitions_up_to
 
 DEFAULT_MAX_RANK = 6
 DEFAULT_TRUNCATION = 3
+# sizes of the phi suite: random antisymmetry and Schur-shift cases, and
+# the closed-form grid of monomials with d <= PHI_MAX_D, k_i <= PHI_MAX_POWER
+PHI_ANTISYM_TRIALS = 200
+PHI_SHIFT_TRIALS = 50
+PHI_MAX_POWER = 8
+PHI_MAX_D = 4
+# the (r, d) shapes of the generalized Cauchy determinant check
+GEN_CAUCHY_PAIRS = ((3, 1), (4, 2), (5, 2), (5, 3))
 
 
 @dataclass(frozen=True)
@@ -106,8 +115,8 @@ def check_fourway(bundle, d: int) -> CaseResult:
     constterm = ch_pushforward_constterm(bundle, d)
     ring = FlagRing(bundle, d)
     oracle = ch_pushforward_oracle(bundle, d, ring)
-    for other in (schur, constterm, oracle):
-        detail = _first_difference("closed", closed.value, other.method, other.value)
+    for name, other in (("schur", schur), ("constterm", constterm), ("oracle", oracle)):
+        detail = _first_difference("closed", closed, name, other)
         if detail:
             return CaseResult(key, False, detail)
     rel = d * (bundle.rank - d)
@@ -116,7 +125,7 @@ def check_fourway(bundle, d: int) -> CaseResult:
             return CaseResult(key, False, f"theta^{N} pushed forward is nonzero")
     for m in range(bundle.base.n + 1):
         value = ring.pushforward_theta_power(rel + m)
-        if value != closed.theta_power(rel + m):
+        if value != closed.component(m) * factorial(rel + m):
             return CaseResult(key, False, f"theta^{rel + m} disagrees with N! * component")
         if value and value.homogeneous_degree() != m:
             return CaseResult(key, False, f"theta^{rel + m} is not homogeneous of degree {m}")
@@ -186,21 +195,20 @@ def _symmetrize(poly: LaurentPoly) -> LaurentPoly:
     return acc
 
 
-def run_phi_suite(seed: int = 7, antisym_trials: int = 200, shift_trials: int = 50,
-                  max_power: int = 8, max_d: int = 4):
+def run_phi_suite(seed: int = 7):
     """The linear-functional suite: closed form on every small monomial,
     antisymmetry under variable permutations, and the Schur-shift rule."""
     def grid_failures():
-        for d in range(1, max_d + 1):
-            for k in exponent_vectors(d, max_entry=max_power):
+        for d in range(1, PHI_MAX_D + 1):
+            for k in exponent_vectors(d, max_entry=PHI_MAX_POWER):
                 if phi(LaurentPoly.monomial(d, k), d) != phi_eval_monomial(k):
                     yield f"k={k}"
 
     rng = random.Random(seed)
 
     def antisymmetry_failures():
-        for _ in range(antisym_trials):
-            d = rng.randint(2, max_d)
+        for _ in range(PHI_ANTISYM_TRIALS):
+            d = rng.randint(2, PHI_MAX_D)
             f = _random_laurent(rng, d)
             perm = list(range(d))
             rng.shuffle(perm)
@@ -208,7 +216,7 @@ def run_phi_suite(seed: int = 7, antisym_trials: int = 200, shift_trials: int = 
                 yield f"perm={perm} f={f!r}"
 
     def shift_failures():
-        for _ in range(shift_trials):
+        for _ in range(PHI_SHIFT_TRIALS):
             d = rng.randint(1, 3)
             f = _symmetrize(_random_laurent(rng, d, nterms=3, low=0, high=4))
             lam = rng.choice(list(partitions_up_to(d, 4)))
@@ -221,9 +229,9 @@ def run_phi_suite(seed: int = 7, antisym_trials: int = 200, shift_trials: int = 
     # in report order: the two random cases share one rng
     return [
         _first_failure("phi closed form on monomial grid", grid_failures()),
-        _first_failure(f"phi antisymmetry ({antisym_trials} random cases)",
+        _first_failure(f"phi antisymmetry ({PHI_ANTISYM_TRIALS} random cases)",
                        antisymmetry_failures()),
-        _first_failure(f"phi Schur shift ({shift_trials} random symmetric cases)",
+        _first_failure(f"phi Schur shift ({PHI_SHIFT_TRIALS} random symmetric cases)",
                        shift_failures()),
     ]
 
@@ -233,7 +241,6 @@ def run_identity_suite(
     det_trials: int = 100,
     cauchy_truncation: int = DEFAULT_TRUNCATION,
     gen_cauchy_trials: int = 100,
-    gen_cauchy_pairs=((3, 1), (4, 2), (5, 2), (5, 3)),
 ):
     """Factorial determinant, Cauchy expansion, and the generalized
     Cauchy determinant identity at random rational points."""
@@ -262,7 +269,7 @@ def run_identity_suite(
                 )
             )
 
-    for r, d in gen_cauchy_pairs:
+    for r, d in GEN_CAUCHY_PAIRS:
         ok = gen_cauchy_check(r, d, trials=gen_cauchy_trials, seed=seed + 100 * r + d)
         results.append(
             CaseResult(

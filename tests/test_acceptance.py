@@ -114,7 +114,7 @@ def test_criterion_5_phi_suite():
                 detail = f"monomial grid k={k}"
                 break
     if ok:
-        suite = verify.run_phi_suite(seed=7, antisym_trials=200, shift_trials=50)
+        suite = verify.run_phi_suite(seed=7)
         bad = [res for res in suite if not res.ok]
         if bad:
             ok = False

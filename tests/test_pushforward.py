@@ -20,7 +20,6 @@ from plucker.exact import LaurentPoly, det, exact_str, exponent_vectors, inv_fac
 from plucker.pushforward import (
     DISPLAYED,
     PROOF,
-    PushforwardSeries,
     ch_pushforward,
     ch_pushforward_closed,
     ch_pushforward_constterm,
@@ -291,6 +290,11 @@ class TestChernCharacterRoutes:
         with pytest.raises(ValueError):
             closed_term_coefficient((0,), 3, "folklore")
 
+    @pytest.mark.parametrize("k, r", [((0, 0, 0), 2), ((-3,), 2), ((0,), 0), ((1, -1), 4)])
+    def test_bad_exponent_vector_names_its_shape(self, k, r):
+        with pytest.raises(ValueError, match=re.escape(f"r={r} nonnegative exponents, got k={k}")):
+            closed_term_coefficient(k, r)
+
     def test_d1_reduction(self, fm3):
         for r in (2, 3, 4, 5):
             E = BundleModel.formal(fm3, r)
@@ -329,7 +333,7 @@ class TestChernCharacterRoutes:
                     ch_pushforward_constterm(E, d),
                     ch_pushforward_oracle(E, d),
                 ):
-                    assert closed.same_components(other), (E.label, d, other.method)
+                    assert closed == other, (E.label, d)
 
     @given(st.data())
     @settings(max_examples=15, deadline=None)
@@ -346,7 +350,30 @@ class TestChernCharacterRoutes:
             ch_pushforward_constterm(E, d),
             ch_pushforward_oracle(E, d),
         ):
-            assert closed.same_components(other), (roots, n, d, other.method)
+            assert closed == other, (roots, n, d)
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_check_fourway_on_drawn_bundles(self, data):
+        from plucker import verify
+
+        n = data.draw(st.integers(min_value=1, max_value=3), label="n")
+        if data.draw(st.booleans(), label="rational Segre classes over Pn"):
+            # rank >= n: every derived c_i with i > rank is above n, so any
+            # Segre classes are consistent
+            base = projective_space(n)
+            h = base.hyperplane()
+            rank = data.draw(st.integers(min_value=n, max_value=5), label="rank")
+            qs = [Fraction(data.draw(st.integers(-5, 5)), data.draw(st.integers(1, 4)))
+                  for _ in range(n)]
+            segre = [base.one()] + [h ** i * q for i, q in enumerate(qs, 1)]
+            E = BundleModel.from_segre(base, rank, segre)
+        else:
+            rank = data.draw(st.integers(min_value=1, max_value=5), label="rank")
+            E = BundleModel.formal(formal_segre(n, 2), rank, family=1)
+        d = data.draw(st.integers(min_value=1, max_value=E.rank), label="d")
+        res = verify.check_fourway(E, d)
+        assert res.ok, res.detail
 
     @pytest.mark.parametrize("case", ["formal r=6 d=3 n=3", "split over P3"])
     def test_constterm_calls_no_other_route(self, fm3, monkeypatch, case):
@@ -361,27 +388,18 @@ class TestChernCharacterRoutes:
 
         for name in ("phi_eval_monomial", "closed_term_coefficient", "factorial_det_check"):
             monkeypatch.setattr(pushforward, name, refuse)
-        assert ch_pushforward_constterm(E, d).same_components(closed)
-
-    def test_theta_power_accessor(self, fm3):
-        E = BundleModel.formal(fm3, 4)
-        ring = FlagRing(E, 2)
-        series = ch_pushforward_closed(E, 2)
-        rel = 2 * (4 - 2)
-        assert series.theta_power(rel - 1) == 0
-        for m in range(fm3.n + 1):
-            assert series.theta_power(rel + m) == ring.pushforward_theta_power(rel + m)
+        assert ch_pushforward_constterm(E, d) == closed
 
     def test_displayed_variant_disagrees_with_oracle(self):
         E = BundleModel.trivial(point(), 4)
         displayed = ch_pushforward_closed(E, 2, DISPLAYED)
         oracle = ch_pushforward_oracle(E, 2)
-        assert not displayed.same_components(oracle)
+        assert displayed != oracle
 
     def test_oracle_uses_a_given_ring(self, fm3):
         E = BundleModel.formal(fm3, 4)
         ring = FlagRing(E, 2)
-        assert ch_pushforward_oracle(E, 2, ring).same_components(ch_pushforward_oracle(E, 2))
+        assert ch_pushforward_oracle(E, 2, ring) == ch_pushforward_oracle(E, 2)
         assert ring._theta_chain is not None
         with pytest.raises(ValueError):
             ch_pushforward_oracle(E, 1, ring)
@@ -413,12 +431,11 @@ class TestChernCharacterRoutes:
         s1, s3 = fm3.segre_generator(1), fm3.segre_generator(3)
 
         def skewed(bundle, d, ring=None):
-            value = real(bundle, d, ring).value + s1 ** 2 * 5 + s3
-            return PushforwardSeries(bundle, d, "oracle", value)
+            return real(bundle, d, ring) + s1 ** 2 * 5 + s3
 
         monkeypatch.setattr(verify, "ch_pushforward_oracle", skewed)
         res = verify.check_fourway(E, 2)
-        want = ch_pushforward_closed(E, 2).value.terms.get((2, 0, 0), 0)
+        want = ch_pushforward_closed(E, 2).terms.get((2, 0, 0), 0)
         assert not res.ok
         assert res.detail == (
             f"closed and oracle differ at s1^2: {exact_str(want)} vs {exact_str(want + 5)}"
@@ -448,8 +465,11 @@ class TestChernCharacterRoutes:
 
     def test_dispatch(self, fm3):
         E = BundleModel.formal(fm3, 2)
-        assert ch_pushforward(E, 1, "closed").method == "closed"
-        assert ch_pushforward(E, 1, "oracle").method == "oracle"
+        displayed = ch_pushforward(E, 1, "closed", DISPLAYED)
+        assert displayed == ch_pushforward_closed(E, 1, DISPLAYED) != ch_pushforward_closed(E, 1)
+        assert ch_pushforward(E, 1, "oracle") == ch_pushforward_oracle(E, 1)
+        for method in ("closed", "schur", "constterm", "oracle"):
+            assert isinstance(ch_pushforward(E, 1, method), GradedElement)
         with pytest.raises(ValueError):
             ch_pushforward(E, 1, "telepathy")
 
