@@ -36,6 +36,7 @@ from .exact import LaurentPoly, SparseTerms, _accumulate, _refuse_float, _tadd, 
 
 _ZERO = 0
 _ONE = 1
+_UNSEEN = object()
 
 POINT = "point"
 PROJECTIVE = "projective"
@@ -46,10 +47,11 @@ _FAMILY_PREFIXES = ("s", "u", "v", "w")
 
 class BaseModel:
     """A truncated graded ring standing in for the rational Chow ring of
-    the base variety.  Immutable after construction apart from the
-    degree memo, an idempotent cache."""
+    the base variety.  Immutable after construction apart from two
+    idempotent caches: the degree memo and the product cache of
+    :meth:`_mul_into`."""
 
-    __slots__ = ("kind", "n", "families", "gen_names", "gen_degrees", "_deg_memo")
+    __slots__ = ("kind", "n", "families", "gen_names", "gen_degrees", "_deg_memo", "_products")
 
     def __init__(self, kind, n, families, gen_names, gen_degrees):
         self.kind = kind
@@ -58,6 +60,8 @@ class BaseModel:
         self.gen_names = tuple(gen_names)
         self.gen_degrees = tuple(gen_degrees)
         self._deg_memo = {}
+        # e1 -> e2 -> exponents of their product, or None above degree n
+        self._products = {}
 
     def __eq__(self, other):
         return (
@@ -121,6 +125,25 @@ class BaseModel:
             deg = sum(e * w for e, w in zip(exps, self.gen_degrees))
             memo[exps] = deg
         return deg
+
+    def _mul_into(self, out, lhs, rhs):
+        """Add the truncated product of the term maps ``lhs`` and ``rhs``
+        into the raw map ``out`` and return it.  Zero sums stay in
+        ``out``: the caller prunes once, when it wraps the result."""
+        products = self._products
+        for e1, c1 in lhs.items():
+            row = products.get(e1)
+            if row is None:
+                row = products[e1] = {}
+            for e2, c2 in rhs.items():
+                exps = row.get(e2, _UNSEEN)
+                if exps is _UNSEEN:
+                    deg = self._degree
+                    exps = row[e2] = _tadd(e1, e2) if deg(e1) + deg(e2) <= self.n else None
+                if exps is not None:
+                    have = out.get(exps)
+                    out[exps] = c1 * c2 if have is None else have + c1 * c2
+        return out
 
 
 def point() -> BaseModel:
@@ -189,10 +212,7 @@ class GradedElement(SparseTerms):
         return self.model.scalar(value)
 
     def _new(self, terms):
-        res = object.__new__(GradedElement)
-        res.model = self.model
-        res.terms = terms
-        return res
+        return _graded(self.model, terms)
 
     def __mul__(self, other):
         if not isinstance(other, GradedElement):
@@ -201,19 +221,10 @@ class GradedElement(SparseTerms):
                     return self.model.zero()
                 return self._new({e: c * other for e, c in self.terms.items()})
             return NotImplemented
-        if other.model != self.model:
-            raise ValueError("elements live over different base models")
         model = self.model
-        bound = model.n
-        out = {}
-        deg = model._degree
-        rhs = [(e2, deg(e2), c2) for e2, c2 in other.terms.items()]
-        for e1, c1 in self.terms.items():
-            d1 = deg(e1)
-            for e2, d2, c2 in rhs:
-                if d1 + d2 <= bound:
-                    _accumulate(out, _tadd(e1, e2), c1 * c2)
-        return self._new(out)
+        if other.model is not model and other.model != model:
+            raise ValueError("elements live over different base models")
+        return _graded(model, _pruned(model._mul_into({}, self.terms, other.terms)))
 
     __rmul__ = __mul__
 
@@ -239,6 +250,19 @@ class GradedElement(SparseTerms):
         model = self.model
         order = sorted(self.terms, key=lambda e: (model._degree(e), tuple(-x for x in e)))
         return self._text(order, model.gen_names)
+
+
+def _graded(model, terms):
+    """The element of ``model`` over terms that are already pruned and
+    truncated."""
+    res = object.__new__(GradedElement)
+    res.model = model
+    res.terms = terms
+    return res
+
+
+def _pruned(raw):
+    return {e: c for e, c in raw.items() if c}
 
 
 def integrate(a: GradedElement) -> Fraction:
@@ -490,19 +514,49 @@ class FlagRing:
             got = table[(l, exps)] = self._times_x(got, j)
         return got
 
-    def _times_x(self, terms, l, out=None):
-        """Normal form of (normal-form term map) * x_l, added into ``out``.
-        Below the bound of x_l the product is an exponent shift."""
-        if out is None:
-            out = {}
-        bound = self.bounds[l]
-        for exps, coeff in terms.items():
-            if exps[l] < bound:
-                _accumulate(out, exps[:l] + (exps[l] + 1,) + exps[l + 1 :], coeff)
-            else:
-                for rexps, rcoeff in self._xi_entry(l, exps).items():
-                    _accumulate(out, rexps, coeff * rcoeff)
-        return out
+    def _times_x(self, terms, *levels):
+        """Normal form of (normal-form term map) * (sum of x_l over
+        ``levels``).
+
+        Below the bound of x_l the product is an exponent shift, and a
+        shifted coefficient that nothing else lands on is kept as the
+        same object.  Every other coefficient is accumulated as a raw
+        base-ring term map, through the base model's fused product, and
+        wrapped once at the end, dropping zeros."""
+        model = self.bundle.base
+        mul_into = model._mul_into
+        out = {}
+        for l in levels:
+            bound = self.bounds[l]
+            for exps, coeff in terms.items():
+                if exps[l] < bound:
+                    key = exps[:l] + (exps[l] + 1,) + exps[l + 1 :]
+                    have = out.get(key)
+                    if have is None:
+                        out[key] = coeff
+                        continue
+                    if type(have) is not dict:
+                        have = out[key] = dict(have.terms)
+                    for e, c in coeff.terms.items():
+                        got = have.get(e)
+                        have[e] = c if got is None else got + c
+                else:
+                    for rexps, rcoeff in self._xi_entry(l, exps).items():
+                        have = out.get(rexps)
+                        if have is None:
+                            have = out[rexps] = {}
+                        elif type(have) is not dict:
+                            have = out[rexps] = dict(have.terms)
+                        mul_into(have, coeff.terms, rcoeff.terms)
+        result = {}
+        for key, value in out.items():
+            if type(value) is dict:
+                value = _pruned(value)
+                if not value:
+                    continue
+                value = _graded(model, value)
+            result[key] = value
+        return result
 
     def _normalize(self, raw):
         """Rewrite a term map into the free-module basis: each monomial
@@ -603,10 +657,7 @@ class FlagRing:
             self._theta_chain = [{staircase: self.bundle.base.one()}]
         chain = self._theta_chain
         while len(chain) <= N:
-            out = {}
-            for l in range(self.d):
-                self._times_x(chain[-1], l, out)
-            chain.append(out)
+            chain.append(self._times_x(chain[-1], *range(self.d)))
         top = self.top_monomial
         value = chain[N].get(top)
         return value if value is not None else self.bundle.base.zero()

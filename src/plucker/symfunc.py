@@ -149,14 +149,27 @@ def segre_det(bundle, offsets):
 
 def segre_product(bundle, shifts) -> LaurentPoly:
     """prod_i t_i^shifts[i] s(E, t_i) in len(shifts) variables, each Segre
-    series truncated at the base dimension, multiplied in from i = 0 up."""
-    nvars = len(shifts)
-    classes = [(m, s) for m in range(bundle.base.n + 1) if (s := bundle.segre_class(m))]
-    product = LaurentPoly.constant(nvars, bundle.base.one())
-    for i, shift in enumerate(shifts):
-        series = {(0,) * i + (shift + m,) + (0,) * (nvars - i - 1): s for m, s in classes}
-        product = product * LaurentPoly(nvars, series)
-    return product
+    series truncated at the base dimension n.
+
+    No Laurent product is formed.  Expanding the product, the monomial
+    prod_i t_i^(shifts[i] + m_i) arises from exactly one choice of
+    degrees m, with coefficient prod_i s_(m_i)(E).  Each s_m is
+    homogeneous of degree m, so that coefficient has degree |m| and is
+    zero in the base ring once |m| > n.  The terms are therefore
+    enumerated over |m| <= n, one variable at a time, so that the
+    choices for t_0..t_i share their partial product."""
+    n = bundle.base.n
+    classes = [(m, s) for m in range(n + 1) if (s := bundle.segre_class(m))]
+    # (exponents so far, degree so far, partial product of Segre classes)
+    partial = [((), 0, bundle.base.one())]
+    for shift in shifts:
+        partial = [
+            (exps + (shift + m,), used + m, coeff)
+            for exps, used, prefix in partial
+            for m, s in classes
+            if used + m <= n and (coeff := prefix * s)
+        ]
+    return LaurentPoly(len(shifts), {exps: coeff for exps, _, coeff in partial})
 
 
 def cauchy_expand_check(bundle, nvars: int, max_t_degree: int) -> bool:

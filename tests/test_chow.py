@@ -1,3 +1,6 @@
+import ast
+import copy
+import inspect
 import random
 from fractions import Fraction
 
@@ -15,7 +18,7 @@ from plucker.chow import (
     projective_space,
     segre_from_chern,
 )
-from plucker.exact import LaurentPoly, const_term
+from plucker.exact import LaurentPoly, const_term, exponent_vectors
 from plucker.pushforward import ALL_METHODS, ch_pushforward, monomial_pushforward_det
 from plucker.verify import check_fourway
 
@@ -445,6 +448,45 @@ def test_coefficients_stay_exact(kind):
         series = ch_pushforward(bundle, 2, method)
         for m in range(bundle.base.n + 1):
             assert all(type(c) in (int, Fraction) for c in series.component(m).terms.values())
+
+
+@pytest.mark.parametrize("kind", BUNDLE_KINDS)
+def test_shared_coefficients_are_never_mutated(kind):
+    """The flag ring stores a shifted coefficient as the very object it
+    shifted, so one base-ring element sits in several tables.  Building
+    more table entries and chain steps must leave every stored entry as
+    it was, and give what a fresh ring gives."""
+    bundle = _bundle(kind, 5, random.Random(7).randint)
+    ring = FlagRing(bundle, 3)
+    # early steps still have room below the bounds, so shifts collide there
+    ring.pushforward_theta_power(2)
+    xi_before = copy.deepcopy(ring._xi_basis)
+    chain_before = copy.deepcopy(ring._theta_chain)
+    monomials = [e for e in exponent_vectors(3, max_entry=7) if sum(e) % 3 == 0]
+    one = bundle.base.one()
+    results = [ring.from_terms({e: one}) for e in monomials]
+    ring.pushforward_theta_power(ring.relative_dimension + bundle.base.n)
+    assert len(ring._theta_chain) > len(chain_before)
+    assert len(ring._xi_basis) > len(xi_before)
+    for key, entry in xi_before.items():
+        assert ring._xi_basis[key] == entry, key
+    for step, entry in enumerate(chain_before):
+        assert ring._theta_chain[step] == entry, step
+    fresh = FlagRing(bundle, 3)
+    assert [fresh.from_terms({e: one}) for e in monomials] == results
+    for N in range(len(ring._theta_chain)):
+        assert fresh.pushforward_theta_power(N) == ring.pushforward_theta_power(N)
+
+
+def test_flag_ring_imports_no_formula_route():
+    """The oracle stays independent of the closed, schur and constterm
+    routes: the chow module imports nothing from symfunc or pushforward."""
+    import plucker.chow as chow
+
+    tree = ast.parse(inspect.getsource(chow))
+    imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert imported <= {"__future__", "fractions", "exact"}, imported
+    assert not any(isinstance(node, ast.Import) for node in ast.walk(tree))
 
 
 def test_fourway_agreement_formal_rank_8():

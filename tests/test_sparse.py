@@ -214,3 +214,56 @@ def test_flag_ring_element_coerces_scalar_coefficients():
     assert all(isinstance(c, GradedElement) for c in elem.terms.values())
     assert elem == ring.from_terms({(1,): 2, (0,): Fraction(1, 2)})
     assert elem == ring.scalar(Fraction(1, 2)) + ring.xi(0) * 2
+
+
+PRODUCT_MODELS = (
+    [point()]
+    + [projective_space(n) for n in (1, 2, 3)]
+    + [formal_segre(n, families) for n in range(5) for families in (1, 2)]
+)
+
+
+def _truncated_double_loop(a, b):
+    """The product of two graded elements as the plain double loop over
+    their terms, dropping every pair whose degrees sum past n."""
+    model = a.model
+    out = {}
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            if model._degree(e1) + model._degree(e2) <= model.n:
+                exps = tuple(x + y for x, y in zip(e1, e2))
+                out[exps] = out.get(exps, 0) + c1 * c2
+    return {exps: c for exps, c in out.items() if c}
+
+
+@given(st.data())
+@settings(max_examples=120, deadline=None)
+def test_graded_product_is_the_truncated_double_loop(data):
+    """GradedElement products, through the model's product cache, equal
+    the naive truncated double loop; asking again reads the cache."""
+    model = data.draw(st.sampled_from(PRODUCT_MODELS))
+    a, b = _graded(data.draw, model), _graded(data.draw, model)
+    expected = _truncated_double_loop(a, b)
+    assert (a * b).terms == expected
+    assert (a * b).terms == expected
+    assert (b * a).terms == expected
+    assert _no_stored_zero(a * b)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: projective_space(2),
+    lambda: formal_segre(3),
+    lambda: formal_segre(2, families=2),
+], ids=["P2", "formal3", "formal2x2"])
+def test_equal_models_multiply_and_different_models_refuse(build):
+    model, twin = build(), build()
+    assert model is not twin and model == twin
+    a = model.one() + model.generator(0) * 2
+    b = twin.one() - twin.generator(0) * Fraction(1, 3)
+    assert a * b == b * a
+    assert (a * b).terms == _truncated_double_loop(a, b)
+    other = formal_segre(model.n + 1) if model.kind == "formal" else projective_space(model.n + 1)
+    with pytest.raises(ValueError, match="different base models"):
+        a * other.one()
+    with pytest.raises(ValueError, match="different base models"):
+        formal_segre(2, families=1).one() * formal_segre(2, families=2).one()

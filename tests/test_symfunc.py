@@ -6,7 +6,7 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from plucker.chow import BundleModel, formal_segre, projective_space
+from plucker.chow import BundleModel, formal_segre, point, projective_space
 from plucker.exact import LaurentPoly, det, perm_sign, vandermonde
 from plucker.symfunc import (
     antisymmetrize,
@@ -17,6 +17,7 @@ from plucker.symfunc import (
     partitions_up_to,
     schur_delta,
     schur_in_t,
+    segre_product,
     _sample_t_point,
     _sample_tau_point,
     _t_point_holds,
@@ -378,8 +379,6 @@ class TestGeneralizedCauchy:
 def test_segre_product_matches_series_by_series():
     """segre_product is the product of the shifted Segre series, one
     variable each."""
-    from plucker.symfunc import segre_product
-
     E = BundleModel.from_chern_roots(projective_space(2), [1, -1, 2])
     shifts = (2, -1, 0)
     expected = LaurentPoly.constant(3, E.base.one())
@@ -390,3 +389,44 @@ def test_segre_product_matches_series_by_series():
             shift if j == i else 0 for j in range(3)))
     assert segre_product(E, shifts) == expected
     assert segre_product(E, ()) == LaurentPoly.constant(0, E.base.one())
+
+
+def _iterated_segre_product(bundle, shifts):
+    """prod_i t_i^shifts[i] s(E, t_i) as iterated LaurentPoly products of
+    the truncated series, multiplied in from i = 0 up."""
+    nvars = len(shifts)
+    classes = [(m, s) for m in range(bundle.base.n + 1) if (s := bundle.segre_class(m))]
+    product = LaurentPoly.constant(nvars, bundle.base.one())
+    for i, shift in enumerate(shifts):
+        series = {(0,) * i + (shift + m,) + (0,) * (nvars - i - 1): s for m, s in classes}
+        product = product * LaurentPoly(nvars, series)
+    return product
+
+
+@st.composite
+def segre_bundles(draw):
+    """A bundle over a point, P1-P3 or a formal base: trivial, split,
+    formal, or with rational Segre classes."""
+    n = draw(st.integers(min_value=0, max_value=3), label="n")
+    kind = draw(st.sampled_from(("trivial", "split", "formal", "rational")), label="kind")
+    if kind == "formal" and n:
+        return BundleModel.formal(formal_segre(n), draw(st.integers(1, 5), label="rank"))
+    base = projective_space(n) if n else point()
+    if kind == "split":
+        roots = draw(st.lists(st.integers(-2, 2), min_size=1, max_size=4), label="roots")
+        return BundleModel.from_chern_roots(base, roots)
+    if kind == "rational" and n:
+        # rank >= n: no derived Chern class above the rank lies in degree <= n
+        h = base.hyperplane()
+        qs = [Fraction(draw(st.integers(-5, 5)), draw(st.integers(1, 4))) for _ in range(n)]
+        segre = [base.one()] + [h ** i * q for i, q in enumerate(qs, 1)]
+        return BundleModel.from_segre(base, draw(st.integers(n, n + 2), label="rank"), segre)
+    return BundleModel.trivial(base, draw(st.integers(1, 4), label="rank"))
+
+
+@given(segre_bundles(), st.lists(st.integers(-4, 4), min_size=1, max_size=4))
+@settings(max_examples=120, deadline=None)
+def test_segre_product_matches_iterated_laurent_product(bundle, shifts):
+    """The enumeration over degree vectors |m| <= n equals the iterated
+    product of the shifted series, on every kind of bundle and base."""
+    assert segre_product(bundle, shifts) == _iterated_segre_product(bundle, shifts)
