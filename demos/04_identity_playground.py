@@ -54,8 +54,10 @@ print()
 # ---------------------------------------------------------------------------
 # Schur polynomials, two ways.
 # ---------------------------------------------------------------------------
-# In variables: a quotient of alternants (the division is exact and the
-# zero remainder is asserted).  In Segre classes: a small determinant.
+# Both are the Jacobi-Trudi determinant det[h_(lam_i - i + j)].  In
+# variables, h_k(t) is the sum of all monomials of degree k, and the result
+# times the Vandermonde is the alternant a_(lam + delta), asserted below.
+# In Segre classes, h_k becomes s_k(E).
 lam = (2, 1)
 s = schur_in_t(lam, 2)
 print(f"s_{lam}(t0, t1) = {s!r}")

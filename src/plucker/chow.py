@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exact import LaurentPoly, SparseTerms, _accumulate, _refuse_float, _tadd, monomial_text
+from .exact import SparseTerms, _accumulate, _refuse_float, _tadd, monomial_text
 
 _ZERO = 0
 _ONE = 1
@@ -626,12 +626,6 @@ class FlagRing:
                 )
         raw = FlagRingElement(self, terms).terms
         return FlagRingElement(self, self._normalize(raw))
-
-    def evaluate_poly(self, poly: LaurentPoly) -> "FlagRingElement":
-        """Evaluate a polynomial in d variables at (x_0, ..., x_{d-1})."""
-        if poly.nvars != self.d:
-            raise ValueError("variable count does not match the flag ring")
-        return self.from_terms(poly.terms)
 
     @property
     def top_monomial(self):

@@ -251,24 +251,19 @@ def _get_d(merged, rank):
 
 def element_fields(elem):
     """JSON value for a graded element: monomial -> "p/q" strings."""
-    model = elem.model
-    out = {}
-    for exps in sorted(elem.terms, key=lambda e: (model._degree(e), e)):
-        out[monomial_text(model.gen_names, exps) or "1"] = exact_str(elem.terms[exps])
-    return out
+    names = elem.model.gen_names
+    return {monomial_text(names, exps) or "1": exact_str(c) for exps, c in elem.terms.items()}
 
 
-def _params_json(bundle, d, extra=None):
-    params = {
+def _params_json(bundle, d, denominator):
+    return {
         "base": repr(bundle.base),
         "bundle": bundle.label,
         "rank": bundle.rank,
         "d": d,
         "truncation": bundle.base.n,
+        "denominator": denominator,
     }
-    if extra:
-        params.update(extra)
-    return params
 
 
 def cmd_degree(merged) -> int:
@@ -289,7 +284,7 @@ def cmd_degree(merged) -> int:
         raise ConfigError(f"degree: {err}") from None
     if fmt == "json":
         doc = {
-            "params": _params_json(bundle, d, {"denominator": denominator}),
+            "params": _params_json(bundle, d, denominator),
             "method": "closed",
             "degree_components": [
                 {"k": list(k), "value": exact_str(value)} for k, value in result.breakdown
@@ -330,7 +325,7 @@ def cmd_chern_pushforward(merged) -> int:
         for method in ALL_METHODS:
             docs.append(
                 {
-                    "params": _params_json(bundle, d, {"denominator": denominator}),
+                    "params": _params_json(bundle, d, denominator),
                     "method": method,
                     "degree_components": [
                         {"degree": m, "value": element_fields(series[method].component(m))}

@@ -3,8 +3,7 @@ polynomials, and the one alternant core.
 
 Scalars are Python ``int``s wherever they are integral and
 ``fractions.Fraction``s where a denominator enters (factorial weights,
-rational input, a division with a remainder); the constants here are the
-ints ``0`` and ``1``.
+rational input); the constants here are the ints ``0`` and ``1``.
 
 :class:`SparseTerms` is the one sparse map "exponent tuple -> nonzero
 coefficient" under :class:`LaurentPoly` here and ``GradedElement`` and
@@ -15,8 +14,8 @@ live in any commutative ring whose elements support ``+``, ``-``, ``*``
 and truth testing.  Zero coefficients are pruned after every operation,
 so equality is structural equality of term maps.  Nothing in this module
 (or this package) ever rounds: floating point is banned end to end, a
-float coefficient is refused with ``TypeError``, and no division here
-produces a float.
+float coefficient is refused with ``TypeError``, and no polynomial is
+ever divided.
 
 Every Vandermonde and alternant in the package is computed here, once:
 :func:`vandermonde_at` is the product prod_{i<j} (v_i - v_j) at given
@@ -298,10 +297,6 @@ class LaurentPoly(SparseTerms):
             return self._new({})
         return self._new({e: p for e, c in self.terms.items() if (p := other * c)})
 
-    def invert_variables(self) -> "LaurentPoly":
-        """Substitute t_i -> 1/t_i for every variable."""
-        return self._new({tuple(-x for x in e): c for e, c in self.terms.items()})
-
     def permute_variables(self, perm) -> "LaurentPoly":
         """Apply t_i -> t_{perm[i]}; ``perm`` must be a permutation of 0..nvars-1."""
         out = {}
@@ -314,43 +309,6 @@ class LaurentPoly(SparseTerms):
 
     def truncate_total_degree(self, bound: int) -> "LaurentPoly":
         return self._new({e: c for e, c in self.terms.items() if sum(e) <= bound})
-
-    def divexact(self, divisor: "LaurentPoly") -> "LaurentPoly":
-        """Exact division of polynomials with rational coefficients.
-
-        Both operands must have nonnegative exponents.  A quotient
-        coefficient is an int when it divides out evenly, else a
-        ``Fraction``.  Raises ValueError if the division leaves a
-        remainder; callers rely on that as a self-check.
-        """
-        self._check(divisor)
-        if not divisor:
-            raise ZeroDivisionError("division by the zero polynomial")
-        for poly in (self, divisor):
-            if any(x < 0 for e in poly.terms for x in e):
-                raise ValueError("divexact requires polynomial (nonnegative) exponents")
-        lead = max(divisor.terms)
-        lead_coeff = divisor.terms[lead]
-        rem = dict(self.terms)
-        quot = {}
-        while rem:
-            m = max(rem)
-            c = rem.pop(m)
-            q = tuple(a - b for a, b in zip(m, lead))
-            if any(x < 0 for x in q):
-                raise ValueError("division is not exact (leftover monomial %r)" % (m,))
-            if isinstance(c, int) and isinstance(lead_coeff, int):
-                qc, rest = divmod(c, lead_coeff)
-                if rest:
-                    qc = Fraction(c, lead_coeff)
-            else:
-                qc = c / lead_coeff
-            _accumulate(quot, q, qc)
-            for e, dc in divisor.terms.items():
-                if e == lead:
-                    continue  # canceled exactly by the pop above
-                _accumulate(rem, _tadd(q, e), -(qc * dc))
-        return self._new(quot)
 
     def __repr__(self):
         order = sorted(self.terms, key=lambda e: (sum(e), e), reverse=True)

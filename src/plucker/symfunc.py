@@ -4,9 +4,12 @@ antisymmetrizer identities.
 Partitions are plain tuples of weakly decreasing nonnegative integers;
 trailing zeros are allowed and never change a count.  Tableau counts come
 from the factorial/Vandermonde closed form, with honest enumeration kept
-around as a test oracle.  The antisymmetrizers here are the unnormalized
-ones, A(f) = sum over permutations of sgn * permuted f, so repeated
-application scales by the factorial of the block size.
+around as a test oracle.  Schur polynomials, in the variables t and in
+the Segre classes of a bundle alike, are Jacobi-Trudi determinants
+through ``exact.det``; no polynomial is ever divided.  The
+antisymmetrizers here are the unnormalized ones, A(f) = sum over
+permutations of sgn * permuted f, so repeated application scales by the
+factorial of the block size.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from fractions import Fraction
 from itertools import permutations
 from math import factorial, lcm, prod
 
-from .exact import LaurentPoly, alternant, det, perm_sign, vandermonde, vandermonde_at
+from .exact import LaurentPoly, det, exponent_vectors, perm_sign, vandermonde_at
 
 # random rational points of gen_cauchy_check have numerators in
 # [-SAMPLE_HEIGHT, SAMPLE_HEIGHT] and denominators in [1, SAMPLE_HEIGHT]
@@ -31,17 +34,9 @@ def weight(mu) -> int:
     return sum(mu)
 
 
-def partitions_of(m: int, parts: int):
-    """All partitions of m into exactly ``parts`` parts (zeros allowed),
-    in descending lexicographic order."""
-    if parts == 0:
-        if m == 0:
-            yield ()
-        return
-    yield from _descend(m, parts, m)
-
-
 def _descend(m, parts, cap):
+    """Partitions of m into exactly ``parts`` parts (zeros allowed), each
+    at most ``cap``, in descending lexicographic order."""
     if parts == 1:
         if m <= cap:
             yield (m,)
@@ -61,7 +56,7 @@ def partitions_up_to(parts: int, max_weight: int):
     if max_weight < 0:
         return
     for m in range(max_weight + 1):
-        yield from partitions_of(m, parts)
+        yield from _descend(m, parts, m)
 
 
 def syt_count(mu) -> int:
@@ -114,20 +109,34 @@ def standard_tableaux(mu):
 
 
 def schur_in_t(lam, nvars: int) -> LaurentPoly:
-    """Schur polynomial s_lam(t_0..t_{nvars-1}) as the bialternant
-    a_(lam + delta) / a_delta: the alternant of the powers
-    lam_i + nvars - 1 - i divided exactly by :func:`vandermonde`.  The
-    division must leave no remainder, which doubles as a self-check."""
+    """Schur polynomial s_lam(t_0..t_{nvars-1}) by the Jacobi-Trudi
+    identity s_lam = det[h_(lam_i - i + j)] over the nonzero parts of lam
+    (Macdonald, Symmetric Functions and Hall Polynomials, I.3), the same
+    determinant :func:`schur_delta` takes in Segre classes.  An empty or
+    all-zero lam gives 1, and more nonzero parts than variables give 0;
+    the coefficients are ints."""
     lam = tuple(lam)
-    if len(lam) > nvars:
-        if any(lam[nvars:]):
-            return LaurentPoly.zero(nvars)
-        lam = lam[:nvars]
-    lam = lam + (0,) * (nvars - len(lam))
     if not is_partition(lam):
         raise ValueError(f"{lam} is not a partition")
-    numerator = alternant([lam[i] + nvars - 1 - i for i in range(nvars)])
-    return numerator.divexact(vandermonde(nvars))
+    if nvars < 1:
+        raise ValueError("need at least one variable")
+    parts = [part for part in lam if part]
+    if len(parts) > nvars:
+        return LaurentPoly.zero(nvars)
+    if not parts:
+        return LaurentPoly.constant(nvars, 1)
+    size = len(parts)
+    return det([[_complete(parts[i] - i + j, nvars) for j in range(size)] for i in range(size)])
+
+
+def _complete(k: int, nvars: int) -> LaurentPoly:
+    """The complete homogeneous polynomial h_k(t_0..t_{nvars-1}): every
+    monomial of total degree k with coefficient 1, and zero for k < 0."""
+    if k < 0:
+        return LaurentPoly.zero(nvars)
+    return LaurentPoly(nvars, {
+        e: 1 for e in exponent_vectors(nvars, max_total=k) if sum(e) == k
+    })
 
 
 def schur_delta(lam, bundle):

@@ -290,6 +290,35 @@ class TestConfigFile:
         assert code == 2
         assert "exactly one of" in err
 
+    @pytest.mark.parametrize("argv, field", [
+        (("degree", "--base", "projective", "--rank", "2", "-d", "1"), "base.dim"),
+        (("degree", "--base", "torus", "--rank", "2", "-d", "1"), "base.kind"),
+        (("degree", "--base", "P1", "--roots", "1,1", "--rank", "3", "-d", "1"),
+         "bundle.rank"),
+        (("chern-pushforward", "--base", "formal", "--base-dim", "2", "--roots", "1,1",
+          "-d", "1"), "bundle.roots"),
+        (("chern-pushforward", "--base", "formal", "--base-dim", "2", "--rank", "3",
+          "--formal-bundle", "--family", "4", "-d", "1"), "bundle.formal"),
+        (("degree", "--base", "P2", "--rank", "3", "--formal-bundle", "-d", "1"),
+         "bundle.formal"),
+        (("chern-pushforward", "--base", "formal", "--base-dim", "2", "--rank", "3",
+          "--segre", "1,1,1", "-d", "1"), "bundle.segre"),
+        # s_0 is not 1
+        (("degree", "--base", "P2", "--rank", "3", "--segre", "2,1,1", "-d", "1"),
+         "bundle.segre"),
+        # a line bundle with these classes would need c_2 != 0
+        (("degree", "--base", "P2", "--rank", "1", "--segre", "1,1,5", "-d", "1"),
+         "bundle.segre"),
+        (("--config", "{ini}"), "job.command"),
+    ])
+    def test_config_error_names_its_field(self, capsys, tmp_path, argv, field):
+        ini = tmp_path / "job.ini"
+        ini.write_text("[job]\ncommand = frobnicate\n")
+        code, out, err = run_cli(capsys, *(a.format(ini=ini) for a in argv))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"config error: {field}:"), err
+
 
 class TestZeroAndNegativeValues:
     """Given values are honoured or refused by name, never replaced by defaults."""

@@ -1,0 +1,72 @@
+"""Static guards over the package source: stdlib only, and no floats.
+
+The package promises exact arithmetic with no dependencies.  These tests
+read ``src/plucker/*.py`` with ``ast`` (nothing is imported), so a stray
+third-party import or float literal fails here even on a path that no
+other test runs.
+"""
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "plucker"
+SOURCES = sorted(PACKAGE.glob("*.py"))
+
+
+def parse(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def test_sources_found():
+    assert "exact.py" in {path.name for path in SOURCES}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_absolute_imports_are_stdlib(path):
+    for node in ast.walk(parse(path)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        for module in modules:
+            top = module.split(".")[0]
+            assert top in sys.stdlib_module_names, f"{path.name}:{node.lineno} imports {module}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_float_literals(path):
+    for node in ast.walk(parse(path)):
+        if isinstance(node, ast.Constant):
+            assert not isinstance(node.value, (float, complex)), (
+                f"{path.name}:{node.lineno} has the literal {node.value!r}"
+            )
+
+
+def _float_names(tree):
+    """(enclosing function names, line) for every use of the name ``float``."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = scope + (node.name,)
+        if isinstance(node, ast.Name) and node.id == "float":
+            found.append((scope, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, ())
+    return found
+
+
+def test_float_named_only_to_refuse_it():
+    uses = {
+        (path.name, scope): line
+        for path in SOURCES
+        for scope, line in _float_names(parse(path))
+    }
+    assert set(uses) == {("exact.py", ("_refuse_float",))}, uses

@@ -92,6 +92,8 @@ class TestTableauCounts:
 class TestSchurPolynomials:
     def test_zero_partition_is_one(self):
         assert schur_in_t((0, 0), 2) == LaurentPoly.constant(2, Fraction(1))
+        for nvars in (1, 2, 3):
+            assert schur_in_t((), nvars) == LaurentPoly.constant(nvars, 1)
 
     def test_single_box(self):
         assert schur_in_t((1, 0), 2) == LaurentPoly(
@@ -102,11 +104,27 @@ class TestSchurPolynomials:
         assert schur_in_t((1, 1), 2) == LaurentPoly.monomial(2, (1, 1))
 
     def test_too_long_partition_vanishes(self):
-        assert not schur_in_t((1, 1, 1), 2)
+        for nvars in (1, 2, 3):
+            for lam in [(1,) * (nvars + 1), (3,) * nvars + (1,), (2, 2, 1, 1)[:nvars] + (1,)]:
+                s = schur_in_t(lam, nvars)
+                assert not s and s.nvars == nvars, (lam, nvars)
 
-    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_no_variables_rejected(self):
+        for lam in [(), (0,), (1,), (2, 1)]:
+            with pytest.raises(ValueError):
+                schur_in_t(lam, 0)
+
+    def test_non_partition_rejected(self):
+        # checked before anything is dropped, also past the variable count
+        for lam, nvars in [((1, 2), 3), ((0, 1), 3), ((2, 0, 1), 3), ((1, 2), 1), ((1, -1), 1)]:
+            with pytest.raises(ValueError):
+                schur_in_t(lam, nvars)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_bialternant_roundtrip(self, d):
-        for lam in partitions_up_to(d, 4):
+        # the Jacobi-Trudi determinant times a_delta is the alternant
+        # a_(lam + delta) = det[t_i^(lam_j + d - j)]
+        for lam in partitions_up_to(d, 6):
             matrix = [
                 [
                     LaurentPoly.monomial(
@@ -125,7 +143,8 @@ class TestSchurPolynomials:
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_coefficients_are_ints(self, d):
-        # the bialternant quotient divides int by int; no float may appear
+        # h_k has coefficients 1 and det neither divides nor scales, so
+        # every coefficient stays an int; no Fraction or float may appear
         for lam in partitions_up_to(d, 5):
             assert all(type(c) is int for c in schur_in_t(lam, d).terms.values()), lam
 
