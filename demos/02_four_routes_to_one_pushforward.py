@@ -11,8 +11,10 @@ bundle to its base by four genuinely different algorithms:
                  counts against Schur determinants in the Segre classes,
 * ``constterm``  the constant term of a Laurent series, taken through a
                  linear functional with factorial weights,
-* ``oracle``     brute-force reduction in the flag-bundle quotient ring,
-                 one theta power at a time.
+* ``oracle``     staircase * exp(theta) pushed down the tower of
+                 projective bundles that the flag bundle is, one level
+                 at a time.  The flag-bundle quotient ring below is its
+                 reference.
 
 They share no code beyond Segre classes, and they agree exactly.  The
 formal model makes that agreement universal: its Segre classes are free

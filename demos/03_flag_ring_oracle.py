@@ -2,9 +2,10 @@
 Inside the flag-ring oracle
 ===========================
 
-The oracle that keeps every closed formula honest is the Chow ring of
-the flag bundle of corank 1..d subbundles, presented as a free module
-over the base ring with basis
+The reference behind the oracle route (which pushes down the tower of
+projective bundles without any basis) is the Chow ring of the flag
+bundle of corank 1..d subbundles, presented as a free module over the
+base ring with basis
 
     x_0^{i_0} x_1^{i_1} ... x_{d-1}^{i_{d-1}},    0 <= i_l <= r - l - 1.
 

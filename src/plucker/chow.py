@@ -16,23 +16,29 @@ their addition, subtraction, equality and powers; each class here adds
 its parent check, scalar coercion, product and printing.
 
 On top of a base model, :class:`BundleModel` records the rank and the
-Segre classes of a vector bundle, and :class:`FlagRing` realizes the
-Chow ring of its flag bundle as a free module over the base with the
-monomial basis x_0^{i_0} ... x_{d-1}^{i_{d-1}}, 0 <= i_l <= rank-l-1.
-Push-forward to the base is coefficient extraction on the top basis
-monomial, which is what makes the flag ring a brute-force oracle for
-every closed formula in this package.
+Segre classes of a vector bundle.  Its flag bundle is a tower of
+projective bundles, and :func:`tower_pushforward` pushes a monomial in
+their hyperplane classes x_0, ..., x_{d-1} (times exp(x_0 + ... + x_{d-1})
+if asked) down that tower one level at a time; this is the oracle that
+every closed formula in this package is checked against.
+:class:`FlagRing` realizes the Chow ring of the flag bundle as a free
+module over the base with the monomial basis
+x_0^{i_0} ... x_{d-1}^{i_{d-1}}, 0 <= i_l <= rank-l-1, where push-forward
+is coefficient extraction on the top basis monomial: a brute-force
+reference for the tower at small shapes.
 
 Coefficients are exact: Python ints wherever they are integral (every
 formal and split bundle), ``Fraction`` only where the input brings a
-denominator (rational Segre classes).  Nothing in this module divides.
+denominator (rational Segre classes).  The only division in this module
+is the tower's one division by its exponential weights' common
+denominator.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .exact import SparseTerms, _accumulate, _refuse_float, _tadd, monomial_text
+from .exact import SparseTerms, _accumulate, _refuse_float, _tadd, exponent_vectors, monomial_text
 
 _ZERO = 0
 _ONE = 1
@@ -425,6 +431,105 @@ class BundleModel:
 
     def __repr__(self):
         return f"BundleModel({self.label})"
+
+
+def tower_pushforward(bundle: BundleModel, p, exponential: bool = False) -> GradedElement:
+    """Push-forward to the base of the monomial x_0^{p_0} ... x_{d-1}^{p_{d-1}}
+    on the flag bundle of corank d = len(p), times exp(x_0 + ... + x_{d-1})
+    when ``exponential`` is set, down its tower of projective bundles.
+
+    Level L is the projective bundle of the kernel K_L of rank r - L, with
+    c(K_L) = c(E) / prod_{j<L} (1 + x_j) as in :class:`FlagRing`; its
+    fibre dimension is e = r - L - 1, and pushing it down sends x_L^k to
+    s_{k-e}(K_L) = sum_m (-1)^m e_m(x_0..x_{L-1}) s_{k-e-m}(E) (Fulton,
+    Intersection Theory, 3.1).  Each level maps the exponents of
+    x_0..x_L to raw base term maps.  A term whose x-degree plus base
+    degree exceeds n plus the fibre dimensions still to come can only land
+    above degree n, so it is dropped.  The exponential's weights 1/j! are
+    carried as the ints J!/j! over one J! per level and divided out once
+    at the end.  No flag basis or normal form is built.
+    """
+    p = tuple(p)
+    rank, d = bundle.rank, len(p)
+    if not 1 <= d <= rank or any(e < 0 for e in p):
+        raise ValueError(f"need 1 <= d = len(p) <= rank={rank} nonnegative exponents, got {p}")
+    model = bundle.base
+    n = model.n
+    mul_into, degree = model._mul_into, model._degree
+    segre = [s.terms for s in bundle.segre]
+    layer = {p: model.one().terms}
+    denominator = 1
+    for L in range(d - 1, -1, -1):
+        fibre = rank - L - 1
+        budget = n + sum(rank - 1 - j for j in range(L))
+        squarefree = [[] for _ in range(L + 1)]
+        for v in exponent_vectors(L, max_entry=1):
+            squarefree[sum(v)].append(v)
+        weights = [1]  # J!/j! for j = 0..J, the exponential's x_L^j / j! times J!
+        if exponential:
+            low = min((exps[L] for exps in layer), default=0)
+            top = max(min(budget, n + L) + fibre - low, 0)
+            weights = [1] * (top + 1)
+            for j in range(top, 0, -1):
+                weights[j - 1] = weights[j] * j
+            denominator *= weights[0]
+        factors = {}
+        pushed = {}
+        for exps, coeff in layer.items():
+            # x_L^k with k = k0 + j goes to s_i(K_L), i = k - e, and i may
+            # not pass the degree left to the term's lower x's
+            k0, rest = exps[L], exps[:L]
+            room = budget - sum(rest)
+            lo, hi = k0 - fibre, min(room, n + L)
+            if exponential:
+                lo = max(lo, 0)
+            elif lo <= hi:
+                hi = lo
+            if not 0 <= lo <= hi:
+                continue
+            got = factors.get((k0, hi))
+            if got is None:
+                # per m: sum over i of (-1)^m J!/j! s_{i-m}(E)
+                got = factors[(k0, hi)] = []
+                for m in range(min(L, hi) + 1):
+                    acc = {}
+                    for i in range(max(lo, m), min(hi, n + m) + 1):
+                        w = weights[i + fibre - k0]
+                        if m % 2:
+                            w = -w
+                        for e, c in segre[i - m].items():
+                            have = acc.get(e)
+                            acc[e] = w * c if have is None else have + w * c
+                    got.append(acc)
+            for m, factor in enumerate(got):
+                if not factor:
+                    continue
+                product = mul_into({}, coeff, factor)
+                if room - m < n:
+                    product = {e: c for e, c in product.items() if degree(e) <= room - m}
+                for v in squarefree[m]:
+                    key = _tadd(rest, v)
+                    target = pushed.get(key)
+                    if target is None:
+                        pushed[key] = dict(product)
+                        continue
+                    for e, c in product.items():
+                        have = target.get(e)
+                        target[e] = c if have is None else have + c
+        layer = {}
+        for key, raw in pushed.items():
+            raw = _pruned(raw)
+            if raw:
+                layer[key] = raw
+    terms = layer.get((), {})
+    if denominator != 1:
+        terms = {e: _reduced(Fraction(c, denominator)) for e, c in terms.items()}
+    return _graded(model, terms)
+
+
+def _reduced(value: Fraction):
+    """``value`` as an int when it is integral."""
+    return value.numerator if value.denominator == 1 else value
 
 
 class FlagRing:

@@ -41,6 +41,9 @@ from . import verify as verify_mod
 # Largest Grassmann-bundle dimension d(r-d)+n the degree command accepts.
 # Over a point the degree at this size has about 3300 digits and takes
 # milliseconds; at d(r-d) = 10^6 the closed sum alone runs for minutes.
+# Off a point the limit does not bound the time: the closed sum runs over
+# every k with |k| = n, and sixteen roots over P16 at d = 8 (dimension 80)
+# take seconds.
 MAX_DEGREE_DIMENSION = 2500
 
 _BUNDLE_COMMANDS = ("degree", "chern-pushforward")

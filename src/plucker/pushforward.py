@@ -10,7 +10,8 @@ the push-forward of exp(theta) to the base is computed here
   ("schur"),
 * as the constant term of a Laurent series, evaluated through the linear
   functional :func:`phi` ("constterm"),
-* and by raw reduction in the flag-bundle quotient ring ("oracle").
+* and by pushing staircase * exp(theta) down the tower of projective
+  bundles that the flag bundle is, one level at a time ("oracle").
 
 Each route returns the push-forward as one element of the base ring
 (a :class:`GradedElement`).  Its degree-m part ``value.component(m)``
@@ -28,7 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial, perm, prod
 
-from .chow import FlagRing, GradedElement
+from .chow import GradedElement, tower_pushforward
 from .exact import (LaurentPoly, const_of_product, det, exponent_vectors, inv_factorial,
                     vandermonde, vandermonde_at)
 from .symfunc import partitions_up_to, schur_delta, segre_det, segre_product, syt_count, weight
@@ -219,20 +220,14 @@ def ch_pushforward_constterm(bundle, d: int) -> GradedElement:
     return _as_element(bundle.base, phi(f, d))
 
 
-def ch_pushforward_oracle(bundle, d: int, ring=None) -> GradedElement:
-    """Oracle route: push theta powers forward in the flag ring and divide
-    by N!.  Independent of all three formula routes.  ``ring`` may be an
-    already-built flag ring of the same bundle and corank, whose cached
-    theta chain is then shared with the caller."""
-    if ring is None:
-        ring = FlagRing(bundle, d)
-    elif ring.bundle is not bundle or ring.d != d:
-        raise ValueError("the flag ring belongs to another bundle or corank")
-    rel = d * (bundle.rank - d)
-    value = bundle.base.zero()
-    for N in range(rel, rel + bundle.base.n + 1):
-        value = value + ring.pushforward_theta_power(N) * inv_factorial(N)
-    return value
+def ch_pushforward_oracle(bundle, d: int) -> GradedElement:
+    """Oracle route: push the staircase monomial prod x_i^{d-1-i} times
+    exp(theta), theta = x_0 + ... + x_{d-1}, from the flag bundle down its
+    tower of projective bundles (:func:`chow.tower_pushforward`).  The
+    staircase pushes the flag bundle onto the Grassmann bundle, so this is
+    the sum of the push-forwards of theta^N / N!.  Independent of all
+    three formula routes."""
+    return tower_pushforward(bundle, range(d - 1, -1, -1), exponential=True)
 
 
 ALL_METHODS = ("closed", "schur", "constterm", "oracle")

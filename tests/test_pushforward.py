@@ -1,4 +1,5 @@
 import ast
+import inspect
 import random
 import re
 from fractions import Fraction
@@ -396,18 +397,46 @@ class TestChernCharacterRoutes:
         oracle = ch_pushforward_oracle(E, 2)
         assert displayed != oracle
 
-    def test_oracle_uses_a_given_ring(self, fm3):
+    def test_oracle_takes_no_ring(self, fm3):
+        """The oracle pushes down the projective-bundle tower and has no
+        flag ring to share: it takes the bundle and the corank only."""
+        assert list(inspect.signature(ch_pushforward_oracle).parameters) == ["bundle", "d"]
         E = BundleModel.formal(fm3, 4)
-        ring = FlagRing(E, 2)
-        assert ch_pushforward_oracle(E, 2, ring) == ch_pushforward_oracle(E, 2)
-        assert ring._theta_chain is not None
+        with pytest.raises(TypeError):
+            ch_pushforward_oracle(E, 2, FlagRing(E, 2))
         with pytest.raises(ValueError):
-            ch_pushforward_oracle(E, 1, ring)
-        with pytest.raises(ValueError):
-            ch_pushforward_oracle(BundleModel.formal(fm3, 4), 2, ring)
+            ch_pushforward_oracle(E, 5)
+
+    @pytest.mark.parametrize("case", ["formal r=6 d=3 n=3", "split over P3"])
+    def test_oracle_calls_no_other_route(self, fm3, monkeypatch, case):
+        """The oracle route and the monomial oracle reach no factorial
+        weight, phi, Segre determinant or product, tableau count, or flag
+        ring, and still give the right answers."""
+        from plucker import chow, degree, symfunc, verify
+
+        if case.startswith("formal"):
+            E, d = BundleModel.formal(fm3, 6), 3
+        else:
+            E, d = BundleModel.from_chern_roots(projective_space(3), [2, 1, 0, -1]), 2
+        closed = ch_pushforward_closed(E, d)
+        p = (E.rank + 1, 2) + (0,) * (d - 2)
+        monomial = monomial_pushforward_det(p, E, d)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the oracle reached another route's helper")
+
+        names = ("closed_term_coefficient", "phi", "phi_eval_monomial", "segre_det",
+                 "segre_product", "schur_delta", "syt_count")
+        for module in (pushforward, symfunc, degree, verify):
+            for name in names:
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refuse)
+        monkeypatch.setattr(chow.FlagRing, "__init__", refuse)
+        assert ch_pushforward_oracle(E, d) == closed
+        assert chow.tower_pushforward(E, p) == monomial
 
     def test_fourway_case_builds_one_ring(self, fm3, monkeypatch):
-        from plucker import pushforward, verify
+        from plucker import verify
 
         built = []
 
@@ -419,7 +448,6 @@ class TestChernCharacterRoutes:
                 super().__init__(*args)
 
         monkeypatch.setattr(verify, "FlagRing", CountingRing)
-        monkeypatch.setattr(pushforward, "FlagRing", CountingRing)
         assert verify.check_fourway(BundleModel.formal(fm3, 4), 2).ok
         assert len(built) == 1
 
@@ -430,8 +458,8 @@ class TestChernCharacterRoutes:
         real = verify.ch_pushforward_oracle
         s1, s3 = fm3.segre_generator(1), fm3.segre_generator(3)
 
-        def skewed(bundle, d, ring=None):
-            return real(bundle, d, ring) + s1 ** 2 * 5 + s3
+        def skewed(bundle, d):
+            return real(bundle, d) + s1 ** 2 * 5 + s3
 
         monkeypatch.setattr(verify, "ch_pushforward_oracle", skewed)
         res = verify.check_fourway(E, 2)
