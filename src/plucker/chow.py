@@ -19,13 +19,14 @@ On top of a base model, :class:`BundleModel` records the rank and the
 Segre classes of a vector bundle.  Its flag bundle is a tower of
 projective bundles, and :func:`tower_pushforward` pushes a monomial in
 their hyperplane classes x_0, ..., x_{d-1} (times exp(x_0 + ... + x_{d-1})
-if asked) down that tower one level at a time; this is the oracle that
-every closed formula in this package is checked against.
+if asked) down that tower one level at a time; the ``oracle`` route that
+the closed formulas are checked against is this push-down.
 :class:`FlagRing` realizes the Chow ring of the flag bundle as a free
 module over the base with the monomial basis
 x_0^{i_0} ... x_{d-1}^{i_{d-1}}, 0 <= i_l <= rank-l-1, where push-forward
 is coefficient extraction on the top basis monomial: a brute-force
-reference for the tower at small shapes.
+reference for the tower at small shapes, and the oracle of the
+verification's monomial grid.
 
 Coefficients are exact: Python ints wherever they are integral (every
 formal and split bundle), ``Fraction`` only where the input brings a

@@ -4,9 +4,10 @@ commands.
 
 Every check is exact (tolerance zero).  Cases run one after another in
 this process, and results are ordered by case key for reproducible
-output.  The oracle pushes down the projective-bundle tower; each
+output.  The oracle route pushes down the projective-bundle tower; each
 agreement case also builds one flag ring, the reference for the theta
-powers' structural checks.
+powers' structural checks, and each monomial-grid case builds one whose
+normal form is the monomial oracle.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from itertools import permutations
 from math import factorial
 
-from .chow import BundleModel, FlagRing, formal_segre, point, projective_space, tower_pushforward
+from .chow import BundleModel, FlagRing, formal_segre, point, projective_space
 from .degree import fiber_degree_hook, plucker_degree
 from .exact import LaurentPoly, exact_str, exponent_vectors, monomial_text, perm_sign
 from .pushforward import (
@@ -156,18 +157,19 @@ def run_monomial_grid(
     trials: int = 100,
     seed: int = 2024,
 ):
-    """Triple agreement (constant term, determinant, tower) for random
+    """Triple agreement (constant term, determinant, oracle) for random
     monomial push-forwards, per (r, d) on the formal model."""
 
     def one_case(rank, d):
         key = f"monomials r={rank} d={d}"
         rng = random.Random(seed * 10007 + rank * 101 + d)
         bundle = BundleModel.formal(formal_segre(truncation), rank)
+        ring = FlagRing(bundle, d)
         for _ in range(trials):
             p = tuple(rng.randint(0, rank + 2) for _ in range(d))
             ct = monomial_pushforward_ct(p, bundle, d)
             dt = monomial_pushforward_det(p, bundle, d)
-            orc = tower_pushforward(bundle, p)
+            orc = ring.from_terms({p: bundle.base.one()}).pushforward()
             detail = _first_difference("ct", ct, "det", dt) or _first_difference(
                 "ct", ct, "oracle", orc
             )

@@ -49,12 +49,13 @@ def test_agreement_grid(rank, d):
 
 @pytest.mark.parametrize("rank", range(1, 7))
 def test_monomial_grid_draws(rank):
-    """The draws of ``verify.run_monomial_grid(6, 3, 20)``: the tower
-    equals the flag ring's top coefficient and the constant-term formula."""
+    """The draws of ``verify.run_monomial_grid(6, 3, 20)`` at its default
+    seed: the tower equals the flag ring's top coefficient and the
+    constant-term formula."""
     bundle = BundleModel.formal(formal_segre(3), rank)
     for d in range(1, rank + 1):
         ring = FlagRing(bundle, d)
-        rng = random.Random(12 * 10007 + rank * 101 + d)
+        rng = random.Random(2024 * 10007 + rank * 101 + d)
         for _ in range(20):
             p = tuple(rng.randint(0, rank + 2) for _ in range(d))
             got = tower_pushforward(bundle, p)
