@@ -21,7 +21,7 @@ from .chow import (
     segre_from_chern,
 )
 from .degree import DegreeResult, fiber_degree_hook, plucker_degree
-from .exact import LaurentPoly, const_term, det, inv_factorial, vandermonde
+from .exact import LaurentPoly, det, inv_factorial, vandermonde
 from .pushforward import (
     ALL_METHODS,
     DISPLAYED,
@@ -36,7 +36,6 @@ from .pushforward import (
     monomial_pushforward_det,
     phi,
     phi_eval_monomial,
-    pushforward_polynomial,
 )
 from .symfunc import (
     antisymmetrize,
@@ -70,7 +69,6 @@ __all__ = [
     "ch_pushforward_oracle",
     "ch_pushforward_schur",
     "chern_from_segre",
-    "const_term",
     "det",
     "factorial_det_check",
     "fiber_degree_hook",
@@ -86,7 +84,6 @@ __all__ = [
     "plucker_degree",
     "point",
     "projective_space",
-    "pushforward_polynomial",
     "schur_delta",
     "schur_in_t",
     "segre_from_chern",

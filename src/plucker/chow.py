@@ -13,7 +13,9 @@ Three base models are supported:
 Elements of a base model (:class:`GradedElement`) and of a flag ring
 (:class:`FlagRingElement`) are ``exact.SparseTerms`` maps, which supply
 their addition, subtraction, equality and powers; each class here adds
-its parent check, scalar coercion, product and printing.
+its parent check, scalar coercion, product and printing.  The tower and
+the flag ring compute on raw base term maps (exponent tuple -> nonzero
+coefficient) and wrap a :class:`GradedElement` only around a result.
 
 On top of a base model, :class:`BundleModel` records the rank and the
 Segre classes of a vector bundle.  Its flag bundle is a tower of
@@ -39,7 +41,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exact import SparseTerms, _accumulate, _refuse_float, _tadd, exponent_vectors, monomial_text
+from .exact import SparseTerms, _refuse_float, _tadd, exponent_vectors, monomial_text
 
 _ZERO = 0
 _ONE = 1
@@ -270,6 +272,24 @@ def _graded(model, terms):
 
 def _pruned(raw):
     return {e: c for e, c in raw.items() if c}
+
+
+def _add_terms(target, terms):
+    """Add the term map ``terms`` into ``target``, keeping zero sums."""
+    for e, c in terms.items():
+        have = target.get(e)
+        target[e] = c if have is None else have + c
+
+
+def _pruned_map(maps, keys):
+    """``maps`` with its raw term maps at ``keys`` pruned, or dropped if zero."""
+    for key in keys:
+        terms = _pruned(maps[key])
+        if terms:
+            maps[key] = terms
+        else:
+            del maps[key]
+    return maps
 
 
 def integrate(a: GradedElement) -> Fraction:
@@ -513,15 +533,9 @@ def tower_pushforward(bundle: BundleModel, p, exponential: bool = False) -> Grad
                     target = pushed.get(key)
                     if target is None:
                         pushed[key] = dict(product)
-                        continue
-                    for e, c in product.items():
-                        have = target.get(e)
-                        target[e] = c if have is None else have + c
-        layer = {}
-        for key, raw in pushed.items():
-            raw = _pruned(raw)
-            if raw:
-                layer[key] = raw
+                    else:
+                        _add_terms(target, product)
+        layer = _pruned_map(pushed, list(pushed))
     terms = layer.get((), {})
     if denominator != 1:
         terms = {e: _reduced(Fraction(c, denominator)) for e, c in terms.items()}
@@ -539,14 +553,17 @@ class FlagRing:
     0 <= i_l <= rank-l-1.
 
     The relation for x_l^{rank-l} comes from the vanishing of the Chern
-    polynomial of the l-th kernel bundle, whose Chern classes are
-    obtained by truncated series division; they only involve
-    x_0..x_{l-1}.  Every normal form is built from one step, multiplying
-    a basis monomial by some x_l: below the bound of x_l that is an
-    exponent shift, and at the bound it reads a table entry (see
+    polynomial of the l-th kernel bundle K_l, whose Chern classes
+    c(K_l) = c(E) / prod_{j<l} (1 + x_j) only involve x_0..x_{l-1}.
+    Every normal form is built from one step, multiplying a basis
+    monomial by some x_l: below the bound of x_l that is an exponent
+    shift, and at the bound it reads a table entry (see
     :meth:`_xi_entry`), filled on first use.  The level-l relations are
-    the table's first entries, built at construction.  Instances are
-    immutable apart from these caches.
+    the table's first entries, built at construction.
+
+    Coefficients are raw base term maps, and one term map may sit in
+    several table entries and chain steps, so none is changed once
+    stored.  Instances are immutable apart from these caches.
     """
 
     __slots__ = ("bundle", "d", "bounds", "_xi_basis", "_theta_chain")
@@ -561,29 +578,26 @@ class FlagRing:
         # (l, basis monomial with x_l at its bound) -> normal form of its product with x_l
         self._xi_basis = {}
         zero_key = (0,) * d
-        # Chern classes of the successive kernels, as normal-form term maps.
-        kernel = [
-            {zero_key: bundle.chern_class(j)} if bundle.chern_class(j) else {}
-            for j in range(rank + 1)
-        ]
+        # c_j(K_l), j = 0..rank, as maps from monomials in x_0..x_{l-1} to base term maps
+        kernel = [{zero_key: c.terms} if c else {} for c in bundle.chern]
         for l in range(d):
-            # rule: x_l^{rank-l} = sum_{j>=1} (-1)^(j+1) c_j(kernel_l) x_l^{rank-l-j}
+            # rule: x_l^{rank-l} = sum_{j>=1} (-1)^(j+1) c_j(K_l) x_l^{rank-l-j}
             rule = {}
             for j in range(1, rank - l + 1):
                 for exps, coeff in kernel[j].items():
-                    key = list(exps)
-                    key[l] += rank - l - j
-                    _accumulate(rule, tuple(key), coeff if j % 2 else -coeff)
-            at_bound = [0] * d
-            at_bound[l] = rank - l - 1
-            self._xi_basis[(l, tuple(at_bound))] = rule
+                    key = exps[:l] + (rank - l - j,) + exps[l + 1 :]
+                    rule[key] = coeff if j % 2 else {e: -c for e, c in coeff.items()}
+            self._xi_basis[(l, zero_key[:l] + (rank - l - 1,) + zero_key[l + 1 :])] = rule
             if l + 1 < d:
-                # divide the Chern series by (1 + x_l t) to reach the next kernel
+                # c_j(K_{l+1}) = c_j(K_l) - x_l c_{j-1}(K_{l+1}): the shift
+                # stays within the bound of x_l and lands on no term of
+                # c_j(K_l), whose exponents of x_l are 0
                 nxt = [kernel[0]]
                 for j in range(1, rank - l):
                     step = dict(kernel[j])
-                    for exps, coeff in self._times_x(nxt[j - 1], l).items():
-                        _accumulate(step, exps, -coeff)
+                    for exps, coeff in nxt[j - 1].items():
+                        key = exps[:l] + (exps[l] + 1,) + exps[l + 1 :]
+                        step[key] = {e: -c for e, c in coeff.items()}
                     nxt.append(step)
                 kernel = nxt + [{}] * (l + 2)
         self._theta_chain = None
@@ -596,28 +610,20 @@ class FlagRing:
 
         Without lower generators the entry is the level-l rule with the
         exponents above l carried over.  Otherwise it is the entry of the
-        monomial with its lowest nonzero generator x_j taken off, times
-        x_j; that chain is walked down to a cached entry and built back
-        up, caching each step.
+        monomial with its lowest nonzero generator x_j taken off, times x_j.
         """
         table = self._xi_basis
         got = table.get((l, exps))
-        if got is not None:
-            return got
-        taken = []
-        while (l, exps) not in table:
+        if got is None:
             j = next((i for i in range(l) if exps[i]), None)
             if j is None:
                 rule = table[(l, exps[: l + 1] + (0,) * (self.d - l - 1))]
                 upper = (0,) * (l + 1) + exps[l + 1 :]
-                table[(l, exps)] = {_tadd(e, upper): c for e, c in rule.items()}
-                break
-            taken.append(j)
-            exps = exps[:j] + (exps[j] - 1,) + exps[j + 1 :]
-        got = table[(l, exps)]
-        for j in reversed(taken):
-            exps = exps[:j] + (exps[j] + 1,) + exps[j + 1 :]
-            got = table[(l, exps)] = self._times_x(got, j)
+                got = {_tadd(e, upper): c for e, c in rule.items()}
+            else:
+                lower = exps[:j] + (exps[j] - 1,) + exps[j + 1 :]
+                got = self._times_x(self._xi_entry(l, lower), j)
+            table[(l, exps)] = got
         return got
 
     def _times_x(self, terms, *levels):
@@ -626,12 +632,12 @@ class FlagRing:
 
         Below the bound of x_l the product is an exponent shift, and a
         shifted coefficient that nothing else lands on is kept as the
-        same object.  Every other coefficient is accumulated as a raw
-        base-ring term map, through the base model's fused product, and
-        wrapped once at the end, dropping zeros."""
-        model = self.bundle.base
-        mul_into = model._mul_into
+        same object.  Every other coefficient is a term map of the
+        result's own, listed in ``owned``: accumulated raw, through the
+        base model's fused product, and pruned once at the end."""
+        mul_into = self.bundle.base._mul_into
         out = {}
+        owned = set()
         for l in levels:
             bound = self.bounds[l]
             for exps, coeff in terms.items():
@@ -641,50 +647,44 @@ class FlagRing:
                     if have is None:
                         out[key] = coeff
                         continue
-                    if type(have) is not dict:
-                        have = out[key] = dict(have.terms)
-                    for e, c in coeff.terms.items():
-                        got = have.get(e)
-                        have[e] = c if got is None else got + c
-                else:
-                    for rexps, rcoeff in self._xi_entry(l, exps).items():
-                        have = out.get(rexps)
-                        if have is None:
-                            have = out[rexps] = {}
-                        elif type(have) is not dict:
-                            have = out[rexps] = dict(have.terms)
-                        mul_into(have, coeff.terms, rcoeff.terms)
-        result = {}
-        for key, value in out.items():
-            if type(value) is dict:
-                value = _pruned(value)
-                if not value:
+                    if key not in owned:
+                        owned.add(key)
+                        have = out[key] = dict(have)
+                    _add_terms(have, coeff)
                     continue
-                value = _graded(model, value)
-            result[key] = value
-        return result
+                for rexps, rcoeff in self._xi_entry(l, exps).items():
+                    have = out.get(rexps)
+                    if rexps not in owned:
+                        owned.add(rexps)
+                        have = out[rexps] = {} if have is None else dict(have)
+                    mul_into(have, coeff, rcoeff)
+        return _pruned_map(out, owned)
 
-    def _normalize(self, raw):
-        """Rewrite a term map into the free-module basis: each monomial
-        starts from its in-bounds part and is multiplied by its excess
-        powers of x_l one at a time."""
+    def _normalize(self, raw) -> "FlagRingElement":
+        """The element of a map from exponent tuples to pruned base term
+        maps, in the free-module basis: each monomial starts from its
+        in-bounds part and is multiplied by its excess powers of x_l one
+        at a time.  Results are summed as :meth:`_times_x` sums shifts."""
         bounds = self.bounds
         out = {}
+        owned = set()
         for exps, coeff in raw.items():
             acc = {tuple(map(min, exps, bounds)): coeff}
             for l in range(self.d - 1, -1, -1):
                 for _ in range(exps[l] - bounds[l]):
                     acc = self._times_x(acc, l)
             for nexps, ncoeff in acc.items():
-                _accumulate(out, nexps, ncoeff)
-        return out
-
-    def _mul_terms(self, a, b):
-        raw = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                _accumulate(raw, _tadd(e1, e2), c1 * c2)
-        return self._normalize(raw)
+                have = out.get(nexps)
+                if have is None:
+                    out[nexps] = ncoeff
+                    continue
+                if nexps not in owned:
+                    owned.add(nexps)
+                    have = out[nexps] = dict(have)
+                _add_terms(have, ncoeff)
+        model = self.bundle.base
+        out = _pruned_map(out, owned)
+        return FlagRingElement(self, {e: _graded(model, c) for e, c in out.items()})
 
     # -- public API ------------------------------------------------------
 
@@ -695,24 +695,16 @@ class FlagRing:
         return self.scalar(_ONE)
 
     def scalar(self, value) -> "FlagRingElement":
-        if isinstance(value, GradedElement):
-            if value.model != self.bundle.base:
-                raise ValueError("scalar lives over a different base model")
-            coeff = value
-        else:
-            coeff = self.bundle.base.scalar(value)
-        if not coeff:
-            return self.zero()
-        return FlagRingElement(self, {(0,) * self.d: coeff})
+        if isinstance(value, GradedElement) and value.model != self.bundle.base:
+            raise ValueError("scalar lives over a different base model")
+        return FlagRingElement(self, {(0,) * self.d: value})
 
     def xi(self, l: int) -> "FlagRingElement":
         """The hyperplane generator x_l of the l-th projective-bundle step."""
         if not 0 <= l < self.d:
             raise ValueError(f"index {l} out of range 0..{self.d - 1}")
-        exps = [0] * self.d
-        exps[l] = 1
-        raw = {tuple(exps): self.bundle.base.one()}
-        return FlagRingElement(self, self._normalize(raw))
+        exps = (0,) * l + (1,) + (0,) * (self.d - l - 1)
+        return self._normalize({exps: self.bundle.base.one().terms})
 
     def theta(self) -> "FlagRingElement":
         """Pull-back of the Pluecker class: x_0 + ... + x_{d-1}."""
@@ -730,18 +722,8 @@ class FlagRing:
                 raise ValueError(
                     f"flag-ring monomial {tuple(exps)} needs {d} nonnegative exponents"
                 )
-        raw = FlagRingElement(self, terms).terms
-        return FlagRingElement(self, self._normalize(raw))
-
-    @property
-    def top_monomial(self):
-        rank = self.bundle.rank
-        return tuple(rank - 1 - l for l in range(self.d))
-
-    @property
-    def relative_dimension(self) -> int:
-        rank = self.bundle.rank
-        return sum(rank - l - 1 for l in range(self.d))
+        coeffs = FlagRingElement(self, terms).terms
+        return self._normalize({exps: c.terms for exps, c in coeffs.items()})
 
     def pushforward_theta_power(self, N: int) -> GradedElement:
         """Push-forward of theta^N from the Grassmann bundle to the base.
@@ -752,15 +734,15 @@ class FlagRing:
         """
         if N < 0:
             raise ValueError("power must be nonnegative")
+        model = self.bundle.base
         if self._theta_chain is None:
             staircase = tuple(self.d - 1 - i for i in range(self.d))
-            self._theta_chain = [{staircase: self.bundle.base.one()}]
+            self._theta_chain = [{staircase: model.one().terms}]
         chain = self._theta_chain
         while len(chain) <= N:
             chain.append(self._times_x(chain[-1], *range(self.d)))
-        top = self.top_monomial
-        value = chain[N].get(top)
-        return value if value is not None else self.bundle.base.zero()
+        value = chain[N].get(self.bounds)
+        return model.zero() if value is None else _graded(model, value)
 
 
 class FlagRingElement(SparseTerms):
@@ -806,17 +788,19 @@ class FlagRingElement(SparseTerms):
         peer = self._coerce(other)
         if peer is None:
             return NotImplemented
-        return self._new(self.ring._mul_terms(self.terms, peer.terms))
+        mul_into = self.ring.bundle.base._mul_into
+        raw = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in peer.terms.items():
+                mul_into(raw.setdefault(_tadd(e1, e2), {}), c1.terms, c2.terms)
+        return self.ring._normalize(_pruned_map(raw, list(raw)))
 
     __rmul__ = __mul__
 
-    def coefficient(self, exps) -> GradedElement:
-        value = self.terms.get(tuple(exps))
-        return value if value is not None else self.ring.bundle.base.zero()
-
     def pushforward(self) -> GradedElement:
         """Push-forward to the base: the coefficient on the top monomial."""
-        return self.coefficient(self.ring.top_monomial)
+        value = self.terms.get(self.ring.bounds)
+        return value if value is not None else self.ring.bundle.base.zero()
 
     def __repr__(self):
         if not self.terms:

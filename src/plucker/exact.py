@@ -315,16 +315,11 @@ class LaurentPoly(SparseTerms):
         return self._text(order, [f"t{i}" for i in range(self.nvars)])
 
 
-def const_term(f: LaurentPoly):
-    """Coefficient of the all-zero exponent vector (0 if absent)."""
-    return f.terms.get((0,) * f.nvars, _ZERO)
-
-
 def const_of_product(a: LaurentPoly, b: LaurentPoly):
     """Constant term of a * b, as a pairing of opposite monomials.
 
-    Equals const_term(a * b) but never materializes the product; the
-    factor with fewer terms drives the loop.
+    Equals the coefficient of t^0 in a * b but never materializes the
+    product; the factor with fewer terms drives the loop.
     """
     a._check(b)
     if len(b.terms) < len(a.terms):

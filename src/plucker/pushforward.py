@@ -130,18 +130,6 @@ def monomial_pushforward_det(p, bundle, d: int) -> GradedElement:
     return segre_det(bundle, [e - bundle.rank + 1 for e in p])
 
 
-def pushforward_polynomial(F: LaurentPoly, bundle, d: int) -> GradedElement:
-    """Push-forward of F(x_0, ..., x_{d-1}) for a genuine polynomial F
-    with base-ring (or rational) coefficients, by linearity: the sum of
-    coeff * :func:`monomial_pushforward_ct` over the monomials of F."""
-    if F.nvars != d:
-        raise ValueError("variable count mismatch")
-    value = bundle.base.zero()
-    for p, coeff in F.terms.items():
-        value = value + monomial_pushforward_ct(p, bundle, d) * coeff
-    return value
-
-
 def closed_term_coefficient(k, r: int, denominator: str = PROOF) -> Fraction:
     """The rational weight of prod s_{k_i}(E) in the closed formula.
 

@@ -282,32 +282,28 @@ def gen_cauchy_check(r: int, d: int, trials: int = 100, seed: int = 0) -> bool:
     scale = factorial(d) * factorial(r - d)
     perms = [(perm_sign(p), p) for p in permutations(range(r))]
     for _ in range(trials):
-        xs, taus = _sample_tau_point(rng, r, d, SAMPLE_HEIGHT)
+        xs, taus = _sample_point(rng, r, d, SAMPLE_HEIGHT, _tau_clash)
         if not _tau_point_holds(xs, taus, d, perms, scale):
             return False
-        xs, ts = _sample_t_point(rng, r, d, SAMPLE_HEIGHT)
+        xs, ts = _sample_point(rng, r, d, SAMPLE_HEIGHT, _t_clash)
         if not _t_point_holds(xs, ts, d, perms, scale):
             return False
     return True
 
 
-def _sample_tau_point(rng, r, d, height):
-    while True:
-        xs = [_random_fraction(rng, height) for _ in range(r)]
-        taus = [_random_fraction(rng, height) for _ in range(d)]
-        if len(set(xs)) != r:
-            continue
-        if any(tau == x for tau in taus for x in xs):
-            continue
-        return xs, taus
+def _tau_clash(tau, x):
+    return tau == x
 
 
-def _sample_t_point(rng, r, d, height):
+def _t_clash(t, x):
+    return x * t == 1
+
+
+def _sample_point(rng, r, d, height, clash):
+    """Draw r points xs and d points ys until the xs are distinct and no
+    pair has ``clash(y, x)``."""
     while True:
         xs = [_random_fraction(rng, height) for _ in range(r)]
-        ts = [_random_fraction(rng, height) for _ in range(d)]
-        if len(set(xs)) != r:
-            continue
-        if any(x * t == 1 for t in ts for x in xs):
-            continue
-        return xs, ts
+        ys = [_random_fraction(rng, height) for _ in range(d)]
+        if len(set(xs)) == r and not any(clash(y, x) for y in ys for x in xs):
+            return xs, ys

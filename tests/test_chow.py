@@ -18,7 +18,7 @@ from plucker.chow import (
     projective_space,
     segre_from_chern,
 )
-from plucker.exact import LaurentPoly, const_term, exponent_vectors
+from plucker.exact import LaurentPoly, exponent_vectors
 from plucker.pushforward import ALL_METHODS, ch_pushforward, monomial_pushforward_det
 from plucker.verify import check_fourway
 
@@ -258,7 +258,7 @@ class TestFlagRing:
                 1,
                 {(-p + rank - 1 + m,): E.segre_class(m) for m in range(fm3.n + 1)},
             )
-            rhs = const_term(series)
+            rhs = series.coeff((0,))
             if not isinstance(rhs, GradedElement):
                 rhs = fm3.scalar(rhs)
             assert lhs == rhs, p
@@ -428,7 +428,7 @@ def test_normal_form_step_is_multiplication_by_xi(data):
 
 def _coefficients(term_map):
     for value in term_map.values():
-        yield from value.terms.values()
+        yield from value.values()
 
 
 @pytest.mark.parametrize("kind", BUNDLE_KINDS)
@@ -437,7 +437,7 @@ def test_coefficients_stay_exact(kind):
     float; on integral bundles the flag ring's are plain ints."""
     bundle = _bundle(kind, 4, random.Random(5).randint)
     ring = FlagRing(bundle, 2)
-    ring.pushforward_theta_power(ring.relative_dimension + bundle.base.n)
+    ring.pushforward_theta_power(sum(ring.bounds) + bundle.base.n)
     ring.from_terms({(5, 4): 1})
     ring_coeffs = [c for entry in ring._xi_basis.values() for c in _coefficients(entry)]
     ring_coeffs += [c for step in ring._theta_chain for c in _coefficients(step)]
@@ -452,10 +452,11 @@ def test_coefficients_stay_exact(kind):
 
 @pytest.mark.parametrize("kind", BUNDLE_KINDS)
 def test_shared_coefficients_are_never_mutated(kind):
-    """The flag ring stores a shifted coefficient as the very object it
-    shifted, so one base-ring element sits in several tables.  Building
-    more table entries and chain steps must leave every stored entry as
-    it was, and give what a fresh ring gives."""
+    """The flag ring stores a shifted coefficient as the very term map it
+    shifted, so one term map sits in several tables, results and inputs.
+    Building more table entries, chain steps and normal forms must leave
+    every stored entry and every input as it was, and give what a fresh
+    ring gives."""
     bundle = _bundle(kind, 5, random.Random(7).randint)
     ring = FlagRing(bundle, 3)
     # early steps still have room below the bounds, so shifts collide there
@@ -464,18 +465,44 @@ def test_shared_coefficients_are_never_mutated(kind):
     chain_before = copy.deepcopy(ring._theta_chain)
     monomials = [e for e in exponent_vectors(3, max_entry=7) if sum(e) % 3 == 0]
     one = bundle.base.one()
-    results = [ring.from_terms({e: one}) for e in monomials]
-    ring.pushforward_theta_power(ring.relative_dimension + bundle.base.n)
+    # in two-term maps the normal form of x^e x_2^2 lands on x^e, whose
+    # coefficient is the input's own term map
+    maps = [{e: one} for e in monomials]
+    maps += [{e: one, e[:2] + (e[2] + 2,): -one} for e in monomials]
+    inputs = copy.deepcopy(maps)
+    results = [ring.from_terms(terms) for terms in maps]
+    ring.pushforward_theta_power(sum(ring.bounds) + bundle.base.n)
     assert len(ring._theta_chain) > len(chain_before)
     assert len(ring._xi_basis) > len(xi_before)
     for key, entry in xi_before.items():
         assert ring._xi_basis[key] == entry, key
     for step, entry in enumerate(chain_before):
         assert ring._theta_chain[step] == entry, step
+    assert maps == inputs
     fresh = FlagRing(bundle, 3)
-    assert [fresh.from_terms({e: one}) for e in monomials] == results
+    assert [fresh.from_terms(terms) for terms in reversed(maps)] == results[::-1]
     for N in range(len(ring._theta_chain)):
         assert fresh.pushforward_theta_power(N) == ring.pushforward_theta_power(N)
+
+
+@pytest.mark.parametrize("kind", BUNDLE_KINDS)
+def test_ring_tables_hold_pruned_plain_maps(kind):
+    """Every xi-table entry and theta-chain step maps exponent tuples to
+    non-empty plain dicts with no zero coefficient: shared term maps are
+    never pruned again, so each must be pruned when stored."""
+    bundle = _bundle(kind, 5, random.Random(11).randint)
+    ring = FlagRing(bundle, 3)
+    ring.pushforward_theta_power(sum(ring.bounds) + bundle.base.n)
+    one = bundle.base.one()
+    for e in [(6, 0, 0), (0, 5, 3), (4, 4, 4), (7, 1, 2)]:
+        ring.from_terms({e: one, (1, 1, 0): 2})
+    tables = list(ring._xi_basis.values()) + ring._theta_chain
+    assert len(ring._xi_basis) > 3 and len(ring._theta_chain) > 1
+    for table in tables:
+        for exps, coeff in table.items():
+            assert type(exps) is tuple and len(exps) == 3
+            assert type(coeff) is dict and coeff, (exps, coeff)
+            assert all(coeff.values()), (exps, coeff)
 
 
 def test_flag_ring_imports_no_formula_route():

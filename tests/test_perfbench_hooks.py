@@ -1,9 +1,10 @@
-"""Every name that the benchmark tracer hooks is still bound in the package.
+"""Every name that the benchmark tracer hooks or reads is still in the package.
 
 ``perfbench/spans.py`` wraps package functions by (module, dotted
-attribute).  A renamed or deleted target would otherwise show only in the
-benchmark's own self-test.  The tracer module is executed from its source
-text, so the benchmark directory is only read.
+attribute) and reads two cache tables off each flag ring.  A renamed or
+deleted target would otherwise show only in the benchmark's own self-test,
+and a renamed table not even there.  The tracer module is executed from
+its source text, so the benchmark directory is only read.
 """
 
 import importlib
@@ -31,3 +32,21 @@ TARGETS = sorted(set(spans.SPANS.values())
 def test_hooked_name_resolves(module, attr):
     importlib.import_module(module)
     assert callable(spans._resolve(module, attr))
+
+
+def test_ring_tables_read_by_layer_metrics_exist():
+    """``layer_metrics`` reads ``_xi_basis`` and ``_theta_chain`` off every
+    flag ring and reports a missing table as 0 under ``trace.absent``, so
+    a renamed table would only zero ``chow.xi_cache_entries``."""
+    from plucker.chow import BundleModel, FlagRing, formal_segre
+
+    ring = FlagRing(BundleModel.formal(formal_segre(2), 4), 2)
+    assert ring._xi_basis and ring._theta_chain is None
+    ring.pushforward_theta_power(6)
+    tracer = spans.Tracer()
+    tracer.rings.append(ring)
+    report = spans.layer_metrics(tracer, types.SimpleNamespace(json_bytes=0, cases=0))
+    assert report["absent"] == []
+    metrics = report["metrics"]
+    assert metrics["chow.xi_cache_entries"][0] == len(ring._xi_basis) > 0
+    assert metrics["chow.chain_terms"][0] == sum(map(len, ring._theta_chain)) > 0

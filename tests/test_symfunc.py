@@ -18,9 +18,10 @@ from plucker.symfunc import (
     schur_delta,
     schur_in_t,
     segre_product,
-    _sample_t_point,
-    _sample_tau_point,
+    _sample_point,
+    _t_clash,
     _t_point_holds,
+    _tau_clash,
     _tau_point_holds,
     standard_tableaux,
     syt_count,
@@ -320,8 +321,8 @@ def _t_form_sides(xs, ts, r, d):
 
 CAUCHY_SHAPES = [(2, 1), (3, 1), (3, 3), (4, 2), (5, 2), (5, 3)]
 CAUCHY_FORMS = [
-    (_sample_tau_point, _tau_point_holds, _tau_form_sides),
-    (_sample_t_point, _t_point_holds, _t_form_sides),
+    (_tau_clash, _tau_point_holds, _tau_form_sides),
+    (_t_clash, _t_point_holds, _t_form_sides),
 ]
 
 
@@ -332,12 +333,12 @@ class TestGeneralizedCauchy:
         # the cross-multiplied int check reaches the verdict of the
         # Fraction sides at each sampled point, for the right scale and
         # for wrong ones
-        sample, holds, sides = form
+        clash, holds, sides = form
         rng = random.Random(100 * r + d)
         perms = [(perm_sign(p), p) for p in permutations(range(r))]
         right = factorial(d) * factorial(r - d)
         for _ in range(4):
-            xs, ys = sample(rng, r, d, 20)
+            xs, ys = _sample_point(rng, r, d, 20, clash)
             lhs, rhs = sides(xs, ys, r, d)
             assert rhs != 0
             for scale in (right, right + 1, right - 1, 2 * right):
@@ -348,12 +349,12 @@ class TestGeneralizedCauchy:
     def test_off_by_one_scale_fails(self, form, r, d):
         # cross-multiplying removed every division; the check must still
         # be able to fail
-        sample, holds, _ = form
+        clash, holds, _ = form
         rng = random.Random(7 * r + d)
         perms = [(perm_sign(p), p) for p in permutations(range(r))]
         right = factorial(d) * factorial(r - d)
         for _ in range(3):
-            xs, ys = sample(rng, r, d, 20)
+            xs, ys = _sample_point(rng, r, d, 20, clash)
             assert holds(xs, ys, d, perms, right)
             assert not holds(xs, ys, d, perms, right + 1)
             assert not holds(xs, ys, d, perms, right - 1)
