@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exact import SparseTerms, _refuse_float, _tadd, exponent_vectors, monomial_text
+from .exact import LaurentPoly, SparseTerms, _refuse_float, _tadd, exponent_vectors, monomial_text
 
 _ZERO = 0
 _ONE = 1
@@ -355,9 +355,14 @@ class BundleModel:
     the truncation degree are zero).  The two determine each other through
     s(t) c(-t) = 1, and rank consistency (c_i = 0 for i > rank) is
     enforced, since every formula here silently assumes it.
+
+    Immutable after construction apart from one idempotent cache: the
+    Segre power tables of :meth:`segre_table`, one per number of
+    variables, filled on first use.  A table depends only on the Segre
+    classes and the number of variables, so every caller may share it.
     """
 
-    __slots__ = ("base", "rank", "segre", "chern", "label")
+    __slots__ = ("base", "rank", "segre", "chern", "label", "_segre_tables")
 
     def __init__(self, base, rank, segre, chern, label=None):
         self.base = base
@@ -365,6 +370,8 @@ class BundleModel:
         self.segre = tuple(segre)
         self.chern = tuple(chern)
         self.label = label or f"rank-{rank} bundle over {base!r}"
+        # d -> segre_table(d)
+        self._segre_tables = {}
 
     @classmethod
     def from_segre(cls, base, rank, segre, label=None):
@@ -449,6 +456,32 @@ class BundleModel:
         if i < 0 or i > self.rank:
             return self.base.zero()
         return self.chern[i]
+
+    def segre_table(self, d: int) -> LaurentPoly:
+        """prod_i s(E, t_i) over d variables t_0..t_{d-1}, each Segre
+        series truncated at the base dimension n, cached per d.
+
+        The monomial t^m has the coefficient prod_i s_(m_i)(E), which is
+        homogeneous of degree |m| and so zero once |m| > n.  The table of
+        d variables extends that of d - 1 by one more factor, so that the
+        choices for t_0..t_{d-2} share their partial product.  The table
+        is immutable by convention, like every value, and is handed out
+        as it is."""
+        table = self._segre_tables.get(d)
+        if table is None:
+            if d == 0:
+                terms = {(): self.base.one()}
+            else:
+                n = self.base.n
+                classes = [(m, s) for m, s in enumerate(self.segre) if s]
+                terms = {
+                    exps + (m,): coeff
+                    for exps, prefix in self.segre_table(d - 1).terms.items()
+                    for m, s in classes
+                    if sum(exps) + m <= n and (coeff := prefix * s)
+                }
+            table = self._segre_tables[d] = LaurentPoly(d, terms)
+        return table
 
     def __repr__(self):
         return f"BundleModel({self.label})"
@@ -695,8 +728,6 @@ class FlagRing:
         return self.scalar(_ONE)
 
     def scalar(self, value) -> "FlagRingElement":
-        if isinstance(value, GradedElement) and value.model != self.bundle.base:
-            raise ValueError("scalar lives over a different base model")
         return FlagRingElement(self, {(0,) * self.d: value})
 
     def xi(self, l: int) -> "FlagRingElement":
@@ -749,17 +780,20 @@ class FlagRingElement(SparseTerms):
     """Normal-form element of a flag ring: a map from in-bounds exponent
     tuples to base-ring coefficients.  A coefficient that is not a
     base-ring element goes through the base model's ``scalar``, which
-    refuses floats."""
+    refuses floats; an element of another base model is refused with
+    ``ValueError``."""
 
     __slots__ = ("ring",)
 
     def __init__(self, ring: FlagRing, terms):
         self.ring = ring
-        scalar = ring.bundle.base.scalar
+        model = ring.bundle.base
         clean = {}
         for exps, coeff in terms.items():
             if not isinstance(coeff, GradedElement):
-                coeff = scalar(coeff)
+                coeff = model.scalar(coeff)
+            elif coeff.model is not model and coeff.model != model:
+                raise ValueError("scalar lives over a different base model")
             if coeff:
                 clean[exps] = coeff
         self.terms = clean

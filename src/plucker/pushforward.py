@@ -109,13 +109,22 @@ def _as_element(base, value) -> GradedElement:
     return base.scalar(value)
 
 
+def _monomial_exponents(p, bundle, d: int):
+    """``p`` as a tuple, checked to be d nonnegative exponents of a
+    corank 1 <= d <= rank."""
+    p = tuple(p)
+    if not 1 <= d <= bundle.rank:
+        raise ValueError(f"corank d={d} must satisfy 1 <= d <= rank={bundle.rank}")
+    if len(p) != d or any(e < 0 for e in p):
+        raise ValueError("need d nonnegative exponents")
+    return p
+
+
 def monomial_pushforward_ct(p, bundle, d: int) -> GradedElement:
     """Push-forward of the flag-ring monomial prod x_i^{p_i} by the
     Laurent constant-term formula:
     const( Delta(t) prod t_i^{-p_i + r - d} s(E, t_i) )."""
-    p = tuple(p)
-    if len(p) != d or any(e < 0 for e in p):
-        raise ValueError("need d nonnegative exponents")
+    p = _monomial_exponents(p, bundle, d)
     r = bundle.rank
     f = segre_product(bundle, [-p[i] + r - d for i in range(d)])
     return _as_element(bundle.base, const_of_product(vandermonde(d), f))
@@ -124,9 +133,7 @@ def monomial_pushforward_ct(p, bundle, d: int) -> GradedElement:
 def monomial_pushforward_det(p, bundle, d: int) -> GradedElement:
     """Same push-forward by the determinantal formula
     det[ s_{p_i + j - r + 1}(E) ]."""
-    p = tuple(p)
-    if len(p) != d or any(e < 0 for e in p):
-        raise ValueError("need d nonnegative exponents")
+    p = _monomial_exponents(p, bundle, d)
     return segre_det(bundle, [e - bundle.rank + 1 for e in p])
 
 

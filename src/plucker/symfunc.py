@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import permutations
 from math import factorial, lcm, prod
 
-from .exact import LaurentPoly, det, exponent_vectors, perm_sign, vandermonde_at
+from .exact import LaurentPoly, _tadd, det, exponent_vectors, perm_sign, vandermonde_at
 
 # random rational points of gen_cauchy_check have numerators in
 # [-SAMPLE_HEIGHT, SAMPLE_HEIGHT] and denominators in [1, SAMPLE_HEIGHT]
@@ -160,25 +160,16 @@ def segre_product(bundle, shifts) -> LaurentPoly:
     """prod_i t_i^shifts[i] s(E, t_i) in len(shifts) variables, each Segre
     series truncated at the base dimension n.
 
-    No Laurent product is formed.  Expanding the product, the monomial
-    prod_i t_i^(shifts[i] + m_i) arises from exactly one choice of
-    degrees m, with coefficient prod_i s_(m_i)(E).  Each s_m is
-    homogeneous of degree m, so that coefficient has degree |m| and is
-    zero in the base ring once |m| > n.  The terms are therefore
-    enumerated over |m| <= n, one variable at a time, so that the
-    choices for t_0..t_i share their partial product."""
-    n = bundle.base.n
-    classes = [(m, s) for m in range(n + 1) if (s := bundle.segre_class(m))]
-    # (exponents so far, degree so far, partial product of Segre classes)
-    partial = [((), 0, bundle.base.one())]
-    for shift in shifts:
-        partial = [
-            (exps + (shift + m,), used + m, coeff)
-            for exps, used, prefix in partial
-            for m, s in classes
-            if used + m <= n and (coeff := prefix * s)
-        ]
-    return LaurentPoly(len(shifts), {exps: coeff for exps, _, coeff in partial})
+    No Laurent product is formed.  The unshifted product depends only on
+    E and the number of variables, so it is the bundle's cached
+    ``segre_table``, and the shifts only move its exponents: the
+    monomial t^m becomes t^(m + shifts) with the same coefficient.  All
+    zero shifts give the cached table itself."""
+    table = bundle.segre_table(len(shifts))
+    if not any(shifts):
+        return table
+    shifts = tuple(shifts)
+    return table._new({_tadd(m, shifts): c for m, c in table.terms.items()})
 
 
 def cauchy_expand_check(bundle, nvars: int, max_t_degree: int) -> bool:
@@ -231,12 +222,19 @@ def _to_integers(values):
 def _signed_block_sum(xs, d, perms, weights):
     """Sum over permutations of sgn * V(a) V(b) * prod_{x in b} w(x),
     where a and b are the first d and the last r-d permuted points and
-    ``weights[i]`` is w(xs[i])."""
+    ``weights[i]`` is w(xs[i]).  Each ordered block is evaluated once,
+    keyed by its indices, and the sum still adds all r! signed products."""
+    firsts, seconds = {}, {}
     total = 0
     for sign, perm in perms:
-        vals = [xs[p] for p in perm]
-        total += (sign * vandermonde_at(vals[:d]) * vandermonde_at(vals[d:])
-                  * prod(weights[p] for p in perm[d:]))
+        a, b = perm[:d], perm[d:]
+        va = firsts.get(a)
+        if va is None:
+            va = firsts[a] = vandermonde_at([xs[i] for i in a])
+        vb = seconds.get(b)
+        if vb is None:
+            vb = seconds[b] = vandermonde_at([xs[i] for i in b]) * prod(weights[i] for i in b)
+        total += sign * va * vb
     return total
 
 

@@ -218,6 +218,17 @@ class TestFlagRing:
         with pytest.raises(ValueError):
             ring.from_terms({exps: 1})
 
+    def test_coefficient_from_another_base_refused(self, fm3):
+        # the P2 hyperplane class once pushed forward to s1^2 over fm3
+        E = BundleModel.formal(fm3, 3)
+        ring = FlagRing(E, 1)
+        stranger = projective_space(2).hyperplane()
+        with pytest.raises(ValueError, match="different base model"):
+            ring.from_terms({(3,): stranger}).pushforward()
+        with pytest.raises(ValueError, match="different base model"):
+            ring.scalar(stranger)
+        assert ring.from_terms({(3,): formal_segre(3).one()}).pushforward() == E.segre_class(1)
+
     def test_kernel_chern_reduction_formal(self, fm3):
         E = BundleModel.formal(fm3, 3)
         ring = FlagRing(E, 2)

@@ -212,6 +212,15 @@ class TestMonomialPushforward:
         with pytest.raises(ValueError):
             monomial_pushforward_det((1, 2, 3), E, 2)
 
+    @pytest.mark.parametrize("fn", [monomial_pushforward_ct, monomial_pushforward_det])
+    def test_corank_outside_one_to_rank_refused(self, fm3, fn):
+        # d = 3 above rank 2 once pushed forward to 0
+        E = BundleModel.formal(fm3, 2)
+        with pytest.raises(ValueError, match=r"d=3 .*rank=2"):
+            fn((0, 0, 0), E, 3)
+        with pytest.raises(ValueError, match=r"d=0 .*rank=2"):
+            fn((), E, 0)
+
 
 class TestGeneralPolynomial:
     """Polynomials in x_0..x_{d-1}, as multi-term maps for
@@ -445,6 +454,34 @@ class TestChernCharacterRoutes:
         monkeypatch.setattr(chow.FlagRing, "__init__", refuse)
         assert ch_pushforward_oracle(E, d) == closed
         assert chow.tower_pushforward(E, p) == monomial
+
+    @pytest.mark.parametrize("case", ["formal r=6 d=3 n=3", "split over P3"])
+    def test_closed_schur_oracle_read_no_segre_table(self, fm3, monkeypatch, case):
+        """The cached Segre power table belongs to the constant-term
+        formulas: the closed, schur and oracle routes, the determinantal
+        monomial and the flag ring neither build nor read it."""
+        from plucker import chow
+
+        if case.startswith("formal"):
+            E, d = BundleModel.formal(fm3, 6), 3
+        else:
+            E, d = BundleModel.from_chern_roots(projective_space(3), [2, 1, 0, -1]), 2
+        p = (E.rank + 1, 2) + (0,) * (d - 2)
+        expected = ch_pushforward_constterm(E, d)
+        monomial = monomial_pushforward_ct(p, E, d)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("another route reached the Segre power table")
+
+        monkeypatch.setattr(chow.BundleModel, "segre_table", refuse)
+        with pytest.raises(AssertionError, match="Segre power table"):
+            ch_pushforward_constterm(E, d)
+        assert ch_pushforward_closed(E, d) == expected
+        assert ch_pushforward_schur(E, d) == expected
+        assert ch_pushforward_oracle(E, d) == expected
+        assert monomial_pushforward_det(p, E, d) == monomial
+        assert chow.tower_pushforward(E, p) == monomial
+        assert FlagRing(E, d).from_terms({p: 1}).pushforward() == monomial
 
     def test_fourway_case_builds_one_ring(self, fm3, monkeypatch):
         from plucker import verify

@@ -450,3 +450,31 @@ def test_segre_product_matches_iterated_laurent_product(bundle, shifts):
     """The enumeration over degree vectors |m| <= n equals the iterated
     product of the shifted series, on every kind of bundle and base."""
     assert segre_product(bundle, shifts) == _iterated_segre_product(bundle, shifts)
+
+
+@given(segre_bundles(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_segre_product_shifts_one_cached_table(bundle, data):
+    """Several shift lists in turn on one bundle, all zeros among them:
+    each product equals the iterated one, whatever was asked before, and
+    the all-zero shift is the bundle's cached table itself."""
+    shift_lists = data.draw(
+        st.lists(st.lists(st.integers(-4, 4), max_size=4), min_size=1, max_size=5),
+        label="shift_lists",
+    )
+    zeros = data.draw(st.sampled_from(shift_lists), label="zeros_like")
+    shift_lists.insert(data.draw(st.integers(0, len(shift_lists))), [0] * len(zeros))
+    for shifts in shift_lists:
+        assert segre_product(bundle, shifts) == _iterated_segre_product(bundle, shifts)
+    assert segre_product(bundle, [0] * len(zeros)) is bundle.segre_table(len(zeros))
+
+
+def test_arithmetic_on_a_product_leaves_later_products_alone():
+    E = BundleModel.from_chern_roots(projective_space(2), [1, -1, 2])
+    for shifts in ((0, 0), (1, -2)):
+        got = segre_product(E, shifts)
+        for value in (got + got, got - got, -got, got * got, got * 3, got ** 2,
+                      got * LaurentPoly.variable(2, 0)):
+            assert value is not got
+        assert segre_product(E, shifts) == _iterated_segre_product(E, shifts)
+    assert segre_product(E, (0, 0)) == _iterated_segre_product(E, (0, 0))
