@@ -21,7 +21,6 @@ configuration error.
 from __future__ import annotations
 
 import argparse
-import configparser
 import json
 import sys
 from fractions import Fraction
@@ -78,6 +77,14 @@ _OPTIONS = {
     "options.max-rank": ("--max-rank", ("verify",), int, verify_mod.DEFAULT_MAX_RANK, 1, None),
 }
 
+# The words a switch takes and their values: configparser's
+# ``ConfigParser.BOOLEAN_STATES``, in its order, written out so that only
+# ``--config`` imports configparser.
+_SWITCH_WORDS = {
+    "1": True, "yes": True, "true": True, "on": True,
+    "0": False, "no": False, "false": False, "off": False,
+}
+
 
 class ConfigError(Exception):
     """Malformed job configuration; the message names the offending field."""
@@ -110,10 +117,9 @@ def _get(merged, key):
     if not word:
         return default
     if kind is bool:
-        states = configparser.ConfigParser.BOOLEAN_STATES
-        if word not in states:
-            raise ConfigError(f"{key}: expected one of {'/'.join(states)}, got {word!r}")
-        return states[word]
+        if word not in _SWITCH_WORDS:
+            raise ConfigError(f"{key}: expected one of {'/'.join(_SWITCH_WORDS)}, got {word!r}")
+        return _SWITCH_WORDS[word]
     if word not in kind:
         raise ConfigError(f"{key}: expected {' or '.join(kind)}, got {word!r}")
     return word
@@ -133,6 +139,8 @@ def _parse_list(raw):
 def load_config(path: str) -> dict:
     """Read the UTF-8 INI configuration into a {section: {key: value}}
     dict, with [DEFAULT] as a section of its own."""
+    import configparser
+
     parser = configparser.ConfigParser()
     try:
         read = parser.read(path, encoding="utf-8")

@@ -11,7 +11,7 @@ denominator variant).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import factorial
 
@@ -21,12 +21,11 @@ from .pushforward import PROOF, _closed_terms
 from .symfunc import syt_count
 
 
-@dataclass(frozen=True)
-class DegreeResult:
-    """Computed degree plus the per-exponent-vector contributions."""
+class DegreeResult(namedtuple("DegreeResult", "degree breakdown")):
+    """Computed degree (a ``Fraction``) plus the per-exponent-vector
+    contributions (a tuple of ``(k, value)`` pairs)."""
 
-    degree: Fraction
-    breakdown: tuple
+    __slots__ = ()
 
     @property
     def is_integer(self) -> bool:

@@ -75,11 +75,24 @@ def exponent_vectors(length: int, *, max_entry=None, max_total=None):
     """Nonnegative integer vectors of the given length, each entry at
     most ``max_entry`` and the entries summing to at most ``max_total``
     (give one bound or both, nonnegative), in lexicographic order.
-    Iterative, so the length is not bounded by the recursion limit."""
+    Iterative, so the length is not bounded by the recursion limit.
+    A negative length or bound, or no bound, raises ``ValueError`` here,
+    before the first vector."""
+    if length < 0:
+        raise ValueError(f"length: must be nonnegative, got {length}")
+    if max_entry is None and max_total is None:
+        raise ValueError("max_entry or max_total: give at least one bound")
+    for name, bound in (("max_entry", max_entry), ("max_total", max_total)):
+        if bound is not None and bound < 0:
+            raise ValueError(f"{name}: must be nonnegative, got {bound}")
     if max_entry is None:
         max_entry = max_total
     if max_total is None:
         max_total = length * max_entry
+    return _odometer(length, max_entry, max_total)
+
+
+def _odometer(length, max_entry, max_total):
     vec = [0] * length
     total = 0
     while True:

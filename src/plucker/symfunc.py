@@ -274,6 +274,8 @@ def gen_cauchy_check(r: int, d: int, trials: int = 100, seed: int = 0) -> bool:
     """
     if not 1 <= d <= r:
         raise ValueError("need 1 <= d <= r")
+    if trials < 1:
+        raise ValueError(f"trials: need at least 1, got {trials}")
     if r > 6:
         raise ValueError("r is capped at 6: the antisymmetrizer sums r! terms")
     rng = random.Random(seed)

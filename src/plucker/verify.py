@@ -13,7 +13,7 @@ normal form is the monomial oracle.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import permutations
 from math import factorial
 
@@ -47,11 +47,11 @@ PHI_MAX_D = 4
 GEN_CAUCHY_PAIRS = ((3, 1), (4, 2), (5, 2), (5, 3))
 
 
-@dataclass(frozen=True)
-class CaseResult:
-    key: str
-    ok: bool
-    detail: str = ""
+class CaseResult(namedtuple("CaseResult", "key ok detail", defaults=("",))):
+    """One verified case: its key, whether it held, and on failure what
+    differed."""
+
+    __slots__ = ()
 
     def line(self) -> str:
         mark = "PASS" if self.ok else "FAIL"

@@ -170,6 +170,17 @@ class TestVerifyCommand:
         doc = json.loads(out)
         assert all(case["ok"] for case in doc)
 
+    def test_case_result_record(self):
+        from plucker.verify import CaseResult
+
+        passed = CaseResult("k", True)
+        assert passed == CaseResult("k", True, "") and hash(passed) == hash(CaseResult("k", True))
+        assert repr(passed) == "CaseResult(key='k', ok=True, detail='')"
+        assert passed.line() == "[PASS] k"
+        assert CaseResult("k", False, "why").line() == "[FAIL] k  (why)"
+        with pytest.raises(AttributeError):
+            passed.ok = False
+
 
 class TestIdentityCheckCommand:
     def test_small_run(self, capsys):
@@ -251,6 +262,15 @@ class TestConfigFile:
         assert code == 2
         assert out == ""
         assert "bundle.formal" in err
+        assert "expected one of 1/yes/true/on/0/no/false/off" in err
+
+    def test_switch_words_are_configparsers(self):
+        import configparser
+
+        from plucker.cli import _SWITCH_WORDS
+
+        states = configparser.ConfigParser.BOOLEAN_STATES
+        assert list(_SWITCH_WORDS.items()) == list(states.items())
 
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "degree", "--config", "/nonexistent/job.ini")

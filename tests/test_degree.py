@@ -1,4 +1,3 @@
-from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -98,7 +97,18 @@ class TestResultShape:
             assert plucker_degree(E, d).degree == integrate(oracle_value)
 
     def test_result_holds_only_what_was_computed(self):
-        assert [f.name for f in fields(DegreeResult)] == ["degree", "breakdown"]
+        assert DegreeResult._fields == ("degree", "breakdown")
+
+    def test_result_is_an_immutable_value(self):
+        E = BundleModel.from_chern_roots(projective_space(1), [1, 1])
+        result = plucker_degree(E, 1)
+        again = plucker_degree(E, 1)
+        assert result == again and hash(result) == hash(again)
+        assert result.is_integer and repr(result) == "DegreeResult(degree=2)"
+        with pytest.raises(AttributeError):
+            result.degree = Fraction(3)
+        with pytest.raises(AttributeError):
+            result.note = "extra"
 
     def test_repr_prints_every_digit(self):
         twist = 10 ** 1500 - 1

@@ -305,6 +305,19 @@ class TestExponentVectors:
                 v for v in grid if sum(v) <= entry
             ]
 
+    @pytest.mark.parametrize("length, bounds, name", [
+        (2, {"max_entry": -1}, "max_entry"),
+        (2, {"max_total": -1}, "max_total"),
+        (2, {"max_entry": 3, "max_total": -1}, "max_total"),
+        (2, {"max_entry": -1, "max_total": 3}, "max_entry"),
+        (-1, {"max_entry": 2}, "length"),
+        (2, {}, "max_entry or max_total"),
+    ])
+    def test_bad_bounds_refused_at_call(self, length, bounds, name):
+        # refused by the call itself, before any vector is asked for
+        with pytest.raises(ValueError, match=name):
+            exponent_vectors(length, **bounds)
+
     def test_length_beyond_recursion_limit(self):
         assert list(exponent_vectors(5000, max_total=0)) == [(0,) * 5000]
         assert len(list(exponent_vectors(5000, max_total=1))) == 5001

@@ -1,12 +1,15 @@
-"""Static guards over the package source: stdlib only, and no floats.
+"""Static guards over the package source: stdlib only, no floats, and a
+lean import path.
 
-The package promises exact arithmetic with no dependencies.  These tests
+The package promises exact arithmetic with no dependencies.  Most tests
 read ``src/plucker/*.py`` with ``ast`` (nothing is imported), so a stray
 third-party import or float literal fails here even on a path that no
-other test runs.
+other test runs.  The import guard imports the package in a fresh
+interpreter, since every command is a fresh process that pays for it.
 """
 
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
@@ -70,3 +73,22 @@ def test_float_named_only_to_refuse_it():
         for scope, line in _float_names(parse(path))
     }
     assert set(uses) == {("exact.py", ("_refuse_float",))}, uses
+
+
+# Standard-library modules the package does not need at import time; each
+# costs milliseconds per command (dataclasses alone pulls in inspect).
+LAZY_MODULES = ("dataclasses", "inspect", "typing", "configparser")
+
+
+def test_import_path_stays_lean():
+    # -S: no site module, which may preload some of these on its own
+    probe = (
+        "import sys; sys.path.insert(0, sys.argv[1]);"
+        "import plucker, plucker.cli, plucker.verify;"
+        f"print(sorted(set({LAZY_MODULES!r}) & set(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", probe, str(PACKAGE.parent)],
+        capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.strip() == "[]"

@@ -391,6 +391,12 @@ class TestGeneralizedCauchy:
         with pytest.raises(ValueError):
             gen_cauchy_check(2, 3)
 
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_no_trials_refused(self, trials):
+        # with no point sampled the check would hold vacuously
+        with pytest.raises(ValueError, match="trials"):
+            gen_cauchy_check(3, 1, trials=trials)
+
     def test_large_r_capped(self):
         with pytest.raises(ValueError, match="capped"):
             gen_cauchy_check(7, 2, trials=1)
