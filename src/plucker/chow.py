@@ -28,7 +28,10 @@ module over the base with the monomial basis
 x_0^{i_0} ... x_{d-1}^{i_{d-1}}, 0 <= i_l <= rank-l-1, where push-forward
 is coefficient extraction on the top basis monomial: a brute-force
 reference for the tower at small shapes, and the oracle of the
-verification's monomial grid.
+verification's monomial grid.  Both push-downs share one degree
+argument: a term of x-degree k and base degree b is zero once k + b
+passes n plus the fibre dimensions still to be pushed down, so the tower
+drops it at each level and a normal form never computes it.
 
 Coefficients are exact: Python ints wherever they are integral (every
 formal and split bundle), ``Fraction`` only where the input brings a
@@ -41,7 +44,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exact import LaurentPoly, SparseTerms, _refuse_float, _tadd, exponent_vectors, monomial_text
+from .exact import (
+    LaurentPoly, SparseTerms, _refuse_float, _refuse_non_int, _tadd, monomial_text,
+)
 
 _ZERO = 0
 _ONE = 1
@@ -160,6 +165,7 @@ def point() -> BaseModel:
 
 
 def projective_space(n: int) -> BaseModel:
+    _refuse_non_int("dimension", (n,))
     if n < 0:
         raise ValueError("dimension must be nonnegative")
     if n == 0:
@@ -168,6 +174,8 @@ def projective_space(n: int) -> BaseModel:
 
 
 def formal_segre(n: int = 3, families: int = 1) -> BaseModel:
+    _refuse_non_int("truncation degree", (n,))
+    _refuse_non_int("family count", (families,))
     if n < 0:
         raise ValueError("truncation degree must be nonnegative")
     if families < 1:
@@ -187,7 +195,9 @@ def formal_segre(n: int = 3, families: int = 1) -> BaseModel:
 class GradedElement(SparseTerms):
     """Element of a truncated graded base ring, sparse over monomials in
     the model generators.  Components above the truncation degree are
-    dropped on construction and during multiplication."""
+    dropped on construction and during multiplication.  An exponent that
+    is not an int is refused with ``TypeError``, like a float
+    coefficient."""
 
     __slots__ = ("model",)
 
@@ -200,6 +210,7 @@ class GradedElement(SparseTerms):
             for exps, coeff in terms.items():
                 _refuse_float(coeff)
                 exps = tuple(exps)
+                _refuse_non_int("exponent", exps)
                 if len(exps) != ngens or any(e < 0 for e in exps):
                     raise ValueError(
                         f"exponent vector {exps} needs {ngens} nonnegative entries"
@@ -279,6 +290,20 @@ def _add_terms(target, terms):
     for e, c in terms.items():
         have = target.get(e)
         target[e] = c if have is None else have + c
+
+
+def _merge(maps, owned, key, terms):
+    """Add the term map ``terms`` at ``key`` of ``maps``.  The first map
+    stored at a key may be shared, so it is copied on the first merge,
+    and the key is listed in ``owned``."""
+    have = maps.get(key)
+    if have is None:
+        maps[key] = terms
+        return
+    if key not in owned:
+        owned.add(key)
+        have = maps[key] = dict(have)
+    _add_terms(have, terms)
 
 
 def _pruned_map(maps, keys):
@@ -375,6 +400,7 @@ class BundleModel:
 
     @classmethod
     def from_segre(cls, base, rank, segre, label=None):
+        _refuse_non_int("rank", (rank,))
         if rank < 1:
             raise ValueError("rank must be positive")
         segre = list(segre)
@@ -397,6 +423,7 @@ class BundleModel:
 
     @classmethod
     def from_chern(cls, base, rank, chern, label=None):
+        _refuse_non_int("rank", (rank,))
         if rank < 1:
             raise ValueError("rank must be positive")
         chern = list(chern)
@@ -497,9 +524,13 @@ def tower_pushforward(bundle: BundleModel, p, exponential: bool = False) -> Grad
     fibre dimension is e = r - L - 1, and pushing it down sends x_L^k to
     s_{k-e}(K_L) = sum_m (-1)^m e_m(x_0..x_{L-1}) s_{k-e-m}(E) (Fulton,
     Intersection Theory, 3.1).  Each level maps the exponents of
-    x_0..x_L to raw base term maps.  A term whose x-degree plus base
-    degree exceeds n plus the fibre dimensions still to come can only land
-    above degree n, so it is dropped.  The exponential's weights 1/j! are
+    x_0..x_L to raw base term maps.  A level first sums its products per
+    (exponents of x_0..x_{L-1}, m), then multiplies by e_m(x_0..x_{L-1})
+    as the u^m coefficient of prod_{j<L} (1 + x_j u), one factor at a
+    time, so that terms meeting on one monomial are added once.  A term
+    whose x-degree plus base degree exceeds n plus the fibre dimensions
+    still to come can only land above degree n, so it is dropped.  The
+    exponential's weights 1/j! are
     carried as the ints J!/j! over one J! per level and divided out once
     at the end.  No flag basis or normal form is built.
     """
@@ -516,9 +547,6 @@ def tower_pushforward(bundle: BundleModel, p, exponential: bool = False) -> Grad
     for L in range(d - 1, -1, -1):
         fibre = rank - L - 1
         budget = n + sum(rank - 1 - j for j in range(L))
-        squarefree = [[] for _ in range(L + 1)]
-        for v in exponent_vectors(L, max_entry=1):
-            squarefree[sum(v)].append(v)
         weights = [1]  # J!/j! for j = 0..J, the exponential's x_L^j / j! times J!
         if exponential:
             low = min((exps[L] for exps in layer), default=0)
@@ -528,7 +556,8 @@ def tower_pushforward(bundle: BundleModel, p, exponential: bool = False) -> Grad
                 weights[j - 1] = weights[j] * j
             denominator *= weights[0]
         factors = {}
-        pushed = {}
+        # (x_0..x_{L-1} exponents, m) -> raw base term map to multiply by e_m
+        staged = {}
         for exps, coeff in layer.items():
             # x_L^k with k = k0 + j goes to s_i(K_L), i = k - e, and i may
             # not pass the degree left to the term's lower x's
@@ -556,19 +585,32 @@ def tower_pushforward(bundle: BundleModel, p, exponential: bool = False) -> Grad
                             acc[e] = w * c if have is None else have + w * c
                     got.append(acc)
             for m, factor in enumerate(got):
-                if not factor:
-                    continue
-                product = mul_into({}, coeff, factor)
-                if room - m < n:
-                    product = {e: c for e, c in product.items() if degree(e) <= room - m}
-                for v in squarefree[m]:
-                    key = _tadd(rest, v)
-                    target = pushed.get(key)
+                if factor:
+                    target = staged.get((rest, m))
                     if target is None:
-                        pushed[key] = dict(product)
-                    else:
-                        _add_terms(target, product)
-        layer = _pruned_map(pushed, list(pushed))
+                        target = staged[(rest, m)] = {}
+                    mul_into(target, coeff, factor)
+        # e_m(x_0..x_{L-1}) is the u^m coefficient of prod_{j<L} (1 + x_j u):
+        # an entry (x, q) still owes q factors x_j u, and one that owes more
+        # than the factors left, or lands above the degree left, is dropped.
+        # The sums are pruned in place and the level above is let go, so
+        # that one copy of the level's terms is alive during the expansion.
+        for key, terms in staged.items():
+            cap = budget - sum(key[0]) - key[1]
+            staged[key] = {e: c for e, c in terms.items() if c and (cap >= n or degree(e) <= cap)}
+        entries = {key: terms for key, terms in staged.items() if terms}
+        del staged, layer
+        for j in range(L):
+            left = L - 1 - j
+            out = {}
+            owned = set()
+            for (x, q), terms in entries.items():
+                if q <= left:
+                    _merge(out, owned, (x, q), terms)
+                if q:
+                    _merge(out, owned, (x[:j] + (x[j] + 1,) + x[j + 1 :], q - 1), terms)
+            entries = _pruned_map(out, owned)
+        layer = {x: terms for (x, _), terms in entries.items()}
     terms = layer.get((), {})
     if denominator != 1:
         terms = {e: _reduced(Fraction(c, denominator)) for e, c in terms.items()}
@@ -597,11 +639,18 @@ class FlagRing:
     Coefficients are raw base term maps, and one term map may sit in
     several table entries and chain steps, so none is changed once
     stored.  Instances are immutable apart from these caches.
+
+    Every basis monomial has degree at most sum(bounds), so a normal form
+    only keeps a term x^e c whose base degree is at most
+    sum(bounds) + n - |e|; :meth:`_normalize` drops the rest before it
+    takes a step, and fills no table entry for a monomial with nothing
+    left.
     """
 
     __slots__ = ("bundle", "d", "bounds", "_xi_basis", "_theta_chain")
 
     def __init__(self, bundle: BundleModel, d: int):
+        _refuse_non_int("corank", (d,))
         rank = bundle.rank
         if not 1 <= d <= rank:
             raise ValueError(f"corank d={d} must satisfy 1 <= d <= rank={rank}")
@@ -697,25 +746,32 @@ class FlagRing:
         """The element of a map from exponent tuples to pruned base term
         maps, in the free-module basis: each monomial starts from its
         in-bounds part and is multiplied by its excess powers of x_l one
-        at a time.  Results are summed as :meth:`_times_x` sums shifts."""
+        at a time.  Results are summed as :meth:`_times_x` sums shifts.
+
+        The normal form of x^e has coefficients of degree at least
+        |e| - sum(bounds), and base terms above degree n vanish, so only
+        the terms of degree at most sum(bounds) + n - |e| of a coefficient
+        can survive.  The others are left out (in a new map: coefficients
+        are shared), and a monomial with none left is skipped before any
+        step or table entry is built."""
         bounds = self.bounds
+        model = self.bundle.base
+        n, degree = model.n, model._degree
+        top = sum(bounds) + n
         out = {}
         owned = set()
         for exps, coeff in raw.items():
+            room = top - sum(exps)
+            if room < n:
+                coeff = {e: c for e, c in coeff.items() if degree(e) <= room}
+                if not coeff:
+                    continue
             acc = {tuple(map(min, exps, bounds)): coeff}
             for l in range(self.d - 1, -1, -1):
                 for _ in range(exps[l] - bounds[l]):
                     acc = self._times_x(acc, l)
             for nexps, ncoeff in acc.items():
-                have = out.get(nexps)
-                if have is None:
-                    out[nexps] = ncoeff
-                    continue
-                if nexps not in owned:
-                    owned.add(nexps)
-                    have = out[nexps] = dict(have)
-                _add_terms(have, ncoeff)
-        model = self.bundle.base
+                _merge(out, owned, nexps, ncoeff)
         out = _pruned_map(out, owned)
         return FlagRingElement(self, {e: _graded(model, c) for e, c in out.items()})
 
@@ -790,6 +846,7 @@ class FlagRingElement(SparseTerms):
         model = ring.bundle.base
         clean = {}
         for exps, coeff in terms.items():
+            _refuse_non_int("flag-ring exponent", exps)
             if not isinstance(coeff, GradedElement):
                 coeff = model.scalar(coeff)
             elif coeff.model is not model and coeff.model != model:

@@ -14,8 +14,8 @@ live in any commutative ring whose elements support ``+``, ``-``, ``*``
 and truth testing.  Zero coefficients are pruned after every operation,
 so equality is structural equality of term maps.  Nothing in this module
 (or this package) ever rounds: floating point is banned end to end, a
-float coefficient is refused with ``TypeError``, and no polynomial is
-ever divided.
+float coefficient, or an exponent or dimension that is not an int, is
+refused with ``TypeError``, and no polynomial is ever divided.
 
 Every Vandermonde and alternant in the package is computed here, once:
 :func:`vandermonde_at` is the product prod_{i<j} (v_i - v_j) at given
@@ -130,6 +130,15 @@ def _refuse_float(value):
         raise TypeError(f"coefficient {value!r} is a float; coefficients must be exact")
 
 
+def _refuse_non_int(what, values):
+    """``TypeError`` naming the first of ``values`` that is not a plain
+    int: an exponent or a dimension is never a float, a Fraction or a
+    bool."""
+    for value in values:
+        if type(value) is not int:
+            raise TypeError(f"{what}: {value!r} is not an int")
+
+
 class SparseTerms:
     """A sparse map ``terms`` from exponent tuples to nonzero
     coefficients: the shared core of :class:`LaurentPoly`,
@@ -228,14 +237,17 @@ class LaurentPoly(SparseTerms):
     """Finitely supported Laurent polynomial in a fixed set of variables.
 
     Terms are a sparse map from integer exponent vectors (negative entries
-    allowed) to nonzero coefficients.  Instances are immutable by
-    convention: no method mutates ``self``.  Scalars multiply and compare
-    as constants, but ``+`` and ``-`` take polynomials only.
+    allowed) to nonzero coefficients; an exponent or a variable count
+    that is not an int is refused with ``TypeError``.  Instances are
+    immutable by convention: no method mutates ``self``.  Scalars
+    multiply and compare as constants, but ``+`` and ``-`` take
+    polynomials only.
     """
 
     __slots__ = ("nvars",)
 
     def __init__(self, nvars: int, terms=None):
+        _refuse_non_int("variable count", (nvars,))
         self.nvars = nvars
         clean = {}
         if terms:
@@ -245,6 +257,7 @@ class LaurentPoly(SparseTerms):
                     raise ValueError(
                         f"exponent vector {exps} has length {len(exps)}, expected {nvars}"
                     )
+                _refuse_non_int("exponent", exps)
                 _refuse_float(coeff)
                 if coeff:
                     clean[exps] = coeff

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from plucker.chow import (
     BundleModel,
     FlagRing,
+    FlagRingElement,
     GradedElement,
     chern_from_segre,
     formal_segre,
@@ -440,6 +441,93 @@ def test_normal_form_step_is_multiplication_by_xi(data):
 def _coefficients(term_map):
     for value in term_map.values():
         yield from value.values()
+
+
+def _budget_bundle(kind, rank, draw_int):
+    """``_bundle``'s kinds over a base of dimension 2, or the trivial
+    bundle over a point."""
+    if kind == "point":
+        return BundleModel.trivial(point(), rank)
+    return _bundle(kind, rank, draw_int)
+
+
+def _inhomogeneous(model):
+    """1 + g + g^2 for a degree-1 generator g of ``model`` (1 over a point)."""
+    g = model.generator(0) if model.gen_names else model.zero()
+    return model.one() + g + g * g
+
+
+def _reference_normal_form(ring, terms):
+    """The normal form of sum x^e c over ``terms`` with no degree budget:
+    the in-bounds part of each x^e times its excess powers of x_l, one
+    ``_times_x`` step at a time."""
+    model = ring.bundle.base
+    total = ring.zero()
+    for exps, coeff in terms.items():
+        acc = {tuple(map(min, exps, ring.bounds)): coeff.terms}
+        for l, (e, bound) in enumerate(zip(exps, ring.bounds)):
+            for _ in range(e - bound):
+                acc = ring._times_x(acc, l)
+        total = total + FlagRingElement(ring, {e: GradedElement(model, c) for e, c in acc.items()})
+    return total
+
+
+def _snapshot(terms):
+    return {e: dict(c.terms) for e, c in terms.items()}
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_normal_form_degree_budget(data):
+    """A term x^e c keeps only the part of c of degree at most
+    sum(bounds) + n - |e|: from_terms equals the unbudgeted reference for
+    |e| below, at and above that budget, on one- and two-term maps with
+    inhomogeneous coefficients, and leaves its input as it was."""
+    kind = data.draw(st.sampled_from(BUNDLE_KINDS + ("point",)))
+    rank = data.draw(st.integers(min_value=1, max_value=5))
+    bundle = _budget_bundle(kind, rank, lambda lo, hi: data.draw(st.integers(lo, hi)))
+    d = data.draw(st.integers(min_value=1, max_value=bundle.rank))
+    ring = FlagRing(bundle, d)
+    model = bundle.base
+    top = sum(ring.bounds) + model.n
+
+    def monomial():
+        total = max(0, top + data.draw(st.integers(min_value=-3, max_value=2)))
+        cuts = sorted(data.draw(st.lists(st.integers(0, total), min_size=d - 1, max_size=d - 1)))
+        return tuple(b - a for a, b in zip([0] + cuts, cuts + [total]))
+
+    coeff = _inhomogeneous(model)
+    one_term = {monomial(): coeff}
+    two_terms = {monomial(): coeff, monomial(): coeff * -2 + model.one()}
+    for terms in (one_term, two_terms):
+        before = _snapshot(terms)
+        got = ring.from_terms(terms)
+        assert got == _reference_normal_form(FlagRing(bundle, d), terms), terms
+        assert _snapshot(terms) == before
+
+
+@pytest.mark.parametrize("kind", BUNDLE_KINDS + ("point",))
+def test_monomial_past_the_budget_is_skipped(kind):
+    """x^e with |e| = sum(bounds) + n + 1 normalizes to 0 without a
+    table entry, where the unbudgeted steps fill one (once x_0 has
+    higher generators beside it), and its coefficient map is left as it
+    was."""
+    for rank in range(1, 6):
+        bundle = _budget_bundle(kind, rank, random.Random(rank).randint)
+        for d in range(1, bundle.rank + 1):
+            ring = FlagRing(bundle, d)
+            bounds = ring.bounds
+            exps = (bounds[0] + bundle.base.n + 1,) + bounds[1:]
+            terms = {exps: _inhomogeneous(bundle.base)}
+            before = _snapshot(terms)
+            entries = len(ring._xi_basis)
+            assert ring.from_terms(terms) == 0
+            assert len(ring._xi_basis) == entries
+            assert _snapshot(terms) == before
+            reference = FlagRing(bundle, d)
+            assert _reference_normal_form(reference, terms) == 0
+            if any(bounds[1:]):
+                assert len(reference._xi_basis) > entries
 
 
 @pytest.mark.parametrize("kind", BUNDLE_KINDS)

@@ -1,7 +1,9 @@
 """The shared sparse-term contract of LaurentPoly, GradedElement and
 FlagRingElement: additive laws, zero pruning, scalar coercion, parent
-checks, unhashability and the refusal of floats."""
+checks, unhashability, the refusal of floats, and the refusal of any
+exponent or dimension that is not an int."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -205,6 +207,52 @@ def test_no_public_constructor_accepts_a_float(x):
     for build in builders:
         with pytest.raises(TypeError):
             build()
+
+
+# an exponent or a dimension is a plain int: these once printed as
+# t0^0.5, s1^0.5 or P2.0, or counted True as 1
+NOT_INTS = [0.5, 2.0, True, Fraction(2)]
+
+
+def _refused(build, value):
+    with pytest.raises(TypeError, match=re.escape(f"{value!r} is not an int")):
+        build()
+
+
+@pytest.mark.parametrize("x", NOT_INTS)
+def test_laurent_poly_refuses_a_non_int_exponent_or_count(x):
+    _refused(lambda: LaurentPoly(1, {(x,): 1}), x)
+    _refused(lambda: LaurentPoly(2, {(1, 0): 1, (0, x): 1}), x)
+    _refused(lambda: LaurentPoly.monomial(1, (x,)), x)
+    _refused(lambda: LaurentPoly(x), x)
+
+
+@pytest.mark.parametrize("x", NOT_INTS)
+def test_graded_element_refuses_a_non_int_exponent(x):
+    _refused(lambda: GradedElement(formal_segre(2), {(x, 0): 1}), x)
+    _refused(lambda: GradedElement(projective_space(2), {(x,): 1}), x)
+
+
+@pytest.mark.parametrize("x", NOT_INTS)
+def test_flag_ring_element_refuses_a_non_int_exponent(x):
+    ring = FlagRing(BundleModel.formal(formal_segre(2), 3), 2)
+    _refused(lambda: FlagRingElement(ring, {(x, 0): 1}), x)
+    _refused(lambda: ring.from_terms({(0, x): 1}), x)
+
+
+@pytest.mark.parametrize("x", NOT_INTS)
+def test_base_models_refuse_a_non_int_dimension(x):
+    _refused(lambda: projective_space(x), x)
+    _refused(lambda: formal_segre(x), x)
+    _refused(lambda: formal_segre(2, x), x)
+
+
+@pytest.mark.parametrize("x", NOT_INTS)
+def test_bundles_and_flag_rings_refuse_a_non_int_rank_or_corank(x):
+    base = projective_space(2)
+    _refused(lambda: BundleModel.trivial(base, x), x)
+    _refused(lambda: BundleModel.from_segre(base, x, [base.one(), base.zero(), base.zero()]), x)
+    _refused(lambda: FlagRing(BundleModel.trivial(base, 3), x), x)
 
 
 def test_flag_ring_element_coerces_scalar_coefficients():

@@ -1,6 +1,7 @@
 """The projective-bundle tower (``chow.tower_pushforward``) against the
 flag ring's normal form and the closed formula: on the agreement grid,
-on the monomial grid's draws, on drawn bundles, and at the edges."""
+on the monomial grid's draws, on drawn bundles, and at the edges; past
+the grid, against the closed and constant-term formulas alone."""
 
 import random
 from fractions import Fraction
@@ -163,3 +164,35 @@ def test_refuses_bad_shapes():
     for d in (0, 4):
         with pytest.raises(ValueError):
             ch_pushforward_oracle(bundle, d)
+
+
+BEYOND_GRID = [(10, 5, 3), (10, 6, 3), (10, 7, 3), (12, 6, 4)]
+
+
+@pytest.mark.parametrize(
+    "rank, d, n", BEYOND_GRID, ids=[f"r={r} d={d} n={n}" for r, d, n in BEYOND_GRID]
+)
+def test_beyond_the_flag_ring_grid(rank, d, n):
+    """Past r = 8, with no FlagRing: the staircase times exp(theta)
+    equals the closed formula, and drawn monomials x^p equal the
+    constant-term formula.  Each p is the top monomial's exponents raised
+    by a partition of k <= n (so the push-forward is a Schur determinant
+    of degree k, not zero by symmetry) and shuffled, so entries pass
+    their bounds in any position."""
+    bundle = BundleModel.formal(formal_segre(n), rank)
+    staircase = tuple(range(d - 1, -1, -1))
+    closed = ch_pushforward_closed(bundle, d)
+    assert tower_pushforward(bundle, staircase, exponential=True) == closed
+    rng = random.Random(rank * 101 + d)
+    nonzero = 0
+    for k in range(n + 1):
+        for _ in range(3):
+            raise_by = [0] * d
+            for _ in range(k):
+                raise_by[rng.randrange(d)] += 1
+            p = [rank - 1 - l + a for l, a in enumerate(sorted(raise_by, reverse=True))]
+            rng.shuffle(p)
+            got = tower_pushforward(bundle, tuple(p))
+            assert got == monomial_pushforward_ct(p, bundle, d), p
+            nonzero += bool(got)
+    assert nonzero == 3 * (n + 1)
