@@ -32,6 +32,11 @@ verification's monomial grid.  Both push-downs share one degree
 argument: a term of x-degree k and base degree b is zero once k + b
 passes n plus the fibre dimensions still to be pushed down, so the tower
 drops it at each level and a normal form never computes it.
+:meth:`FlagRing.from_terms` is the one way an element is built from
+outside the ring, through ``FlagRingElement(ring, terms)`` too, so every
+element is in normal form.  A monomial x^p is refused unless p is d
+nonnegative ints, and a corank unless it is an int with 1 <= d <= rank,
+by one rule each, wherever one is taken.
 
 Coefficients are exact: Python ints wherever they are integral (every
 formal and split bundle), ``Fraction`` only where the input brings a
@@ -45,7 +50,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .exact import (
-    LaurentPoly, SparseTerms, _refuse_float, _refuse_non_int, _tadd, monomial_text,
+    LaurentPoly, SparseTerms, _corank, _refuse_float, _refuse_non_int, _tadd, monomial_text,
 )
 
 _ZERO = 0
@@ -530,14 +535,14 @@ def tower_pushforward(bundle: BundleModel, p, exponential: bool = False) -> Grad
     time, so that terms meeting on one monomial are added once.  A term
     whose x-degree plus base degree exceeds n plus the fibre dimensions
     still to come can only land above degree n, so it is dropped.  The
-    exponential's weights 1/j! are
-    carried as the ints J!/j! over one J! per level and divided out once
-    at the end.  No flag basis or normal form is built.
+    exponential's weights 1/j! are carried as the ints J!/j! over one J!
+    per level and divided out once at the end.  No flag basis or normal
+    form is built.
     """
     p = tuple(p)
     rank, d = bundle.rank, len(p)
-    if not 1 <= d <= rank or any(e < 0 for e in p):
-        raise ValueError(f"need 1 <= d = len(p) <= rank={rank} nonnegative exponents, got {p}")
+    _corank(d, rank)
+    _flag_monomial(p, d)
     model = bundle.base
     n = model.n
     mul_into, degree = model._mul_into, model._degree
@@ -622,6 +627,15 @@ def _reduced(value: Fraction):
     return value.numerator if value.denominator == 1 else value
 
 
+def _flag_monomial(p, d):
+    """``p`` as a tuple of d nonnegative int exponents of x_0..x_{d-1}."""
+    p = tuple(p)
+    _refuse_non_int("flag-ring exponent", p)
+    if len(p) != d or any(e < 0 for e in p):
+        raise ValueError(f"flag-ring monomial {p} needs {d} nonnegative exponents")
+    return p
+
+
 class FlagRing:
     """Chow ring of the corank-1..d flag bundle of a bundle, as a free
     module over the base with basis x_0^{i_0} ... x_{d-1}^{i_{d-1}},
@@ -650,10 +664,8 @@ class FlagRing:
     __slots__ = ("bundle", "d", "bounds", "_xi_basis", "_theta_chain")
 
     def __init__(self, bundle: BundleModel, d: int):
-        _refuse_non_int("corank", (d,))
         rank = bundle.rank
-        if not 1 <= d <= rank:
-            raise ValueError(f"corank d={d} must satisfy 1 <= d <= rank={rank}")
+        _corank(d, rank)
         self.bundle = bundle
         self.d = d
         self.bounds = tuple(rank - l - 1 for l in range(d))
@@ -773,44 +785,49 @@ class FlagRing:
             for nexps, ncoeff in acc.items():
                 _merge(out, owned, nexps, ncoeff)
         out = _pruned_map(out, owned)
-        return FlagRingElement(self, {e: _graded(model, c) for e, c in out.items()})
+        return _flag_element(self, {e: _graded(model, c) for e, c in out.items()})
 
     # -- public API ------------------------------------------------------
 
     def zero(self) -> "FlagRingElement":
-        return FlagRingElement(self, {})
+        return self.from_terms({})
 
     def one(self) -> "FlagRingElement":
         return self.scalar(_ONE)
 
     def scalar(self, value) -> "FlagRingElement":
-        return FlagRingElement(self, {(0,) * self.d: value})
+        return self.from_terms({(0,) * self.d: value})
+
+    def _unit(self, l):
+        return (0,) * l + (1,) + (0,) * (self.d - l - 1)
 
     def xi(self, l: int) -> "FlagRingElement":
         """The hyperplane generator x_l of the l-th projective-bundle step."""
         if not 0 <= l < self.d:
             raise ValueError(f"index {l} out of range 0..{self.d - 1}")
-        exps = (0,) * l + (1,) + (0,) * (self.d - l - 1)
-        return self._normalize({exps: self.bundle.base.one().terms})
+        return self.from_terms({self._unit(l): _ONE})
 
     def theta(self) -> "FlagRingElement":
         """Pull-back of the Pluecker class: x_0 + ... + x_{d-1}."""
-        acc = self.zero()
-        for l in range(self.d):
-            acc = acc + self.xi(l)
-        return acc
+        return self.from_terms({self._unit(l): _ONE for l in range(self.d)})
 
     def from_terms(self, terms) -> "FlagRingElement":
         """Normal form of a map from exponent tuples, any of them at or
-        above its bound, to coefficients coerced as by the element."""
-        d = self.d
-        for exps in terms:
-            if len(exps) != d or any(e < 0 for e in exps):
-                raise ValueError(
-                    f"flag-ring monomial {tuple(exps)} needs {d} nonnegative exponents"
-                )
-        coeffs = FlagRingElement(self, terms).terms
-        return self._normalize({exps: c.terms for exps, c in coeffs.items()})
+        above its bound, to coefficients: an int or a ``Fraction``, which
+        goes through the base model's ``scalar`` and so refuses a float,
+        or an element of the same base model.  The one way an element is
+        built from outside the ring."""
+        model = self.bundle.base
+        raw = {}
+        for exps, coeff in terms.items():
+            exps = _flag_monomial(exps, self.d)
+            if not isinstance(coeff, GradedElement):
+                coeff = model.scalar(coeff)
+            elif coeff.model is not model and coeff.model != model:
+                raise ValueError("scalar lives over a different base model")
+            if coeff:
+                raw[exps] = coeff.terms
+        return self._normalize(raw)
 
     def pushforward_theta_power(self, N: int) -> GradedElement:
         """Push-forward of theta^N from the Grassmann bundle to the base.
@@ -834,26 +851,16 @@ class FlagRing:
 
 class FlagRingElement(SparseTerms):
     """Normal-form element of a flag ring: a map from in-bounds exponent
-    tuples to base-ring coefficients.  A coefficient that is not a
-    base-ring element goes through the base model's ``scalar``, which
-    refuses floats; an element of another base model is refused with
-    ``ValueError``."""
+    tuples to base-ring coefficients.  ``FlagRingElement(ring, terms)``
+    is ``ring.from_terms(terms)``: an exponent at or above its bound is
+    reduced to the basis, and a monomial that is not d nonnegative ints
+    is refused."""
 
     __slots__ = ("ring",)
 
     def __init__(self, ring: FlagRing, terms):
         self.ring = ring
-        model = ring.bundle.base
-        clean = {}
-        for exps, coeff in terms.items():
-            _refuse_non_int("flag-ring exponent", exps)
-            if not isinstance(coeff, GradedElement):
-                coeff = model.scalar(coeff)
-            elif coeff.model is not model and coeff.model != model:
-                raise ValueError("scalar lives over a different base model")
-            if coeff:
-                clean[exps] = coeff
-        self.terms = clean
+        self.terms = ring.from_terms(terms).terms
 
     def _coerce(self, other):
         if isinstance(other, FlagRingElement):
@@ -870,10 +877,7 @@ class FlagRingElement(SparseTerms):
         return self.ring.scalar(value)
 
     def _new(self, terms):
-        res = object.__new__(FlagRingElement)
-        res.ring = self.ring
-        res.terms = terms
-        return res
+        return _flag_element(self.ring, terms)
 
     def __mul__(self, other):
         peer = self._coerce(other)
@@ -906,3 +910,12 @@ class FlagRingElement(SparseTerms):
                 text = f"({text})"
             bits.append(f"{text}*{mono}" if mono else text)
         return " + ".join(bits)
+
+
+def _flag_element(ring, terms):
+    """The element of ``ring`` over a normal-form map whose coefficients
+    are nonzero base-ring elements."""
+    res = object.__new__(FlagRingElement)
+    res.ring = ring
+    res.terms = terms
+    return res

@@ -400,12 +400,7 @@ def cmd_identity_check(merged) -> int:
     results = []
     results.extend(verify_mod.run_phi_suite(seed=seed))
     results.extend(
-        verify_mod.run_identity_suite(
-            seed=seed,
-            det_trials=trials,
-            cauchy_truncation=truncation,
-            gen_cauchy_trials=trials,
-        )
+        verify_mod.run_identity_suite(seed=seed, trials=trials, cauchy_truncation=truncation)
     )
     return _print_results(results, fmt)
 

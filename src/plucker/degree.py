@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import factorial
 
 from .chow import FORMAL, integrate
-from .exact import exact_str
+from .exact import _corank, exact_str
 from .pushforward import PROOF, _closed_terms
 from .symfunc import syt_count
 
@@ -42,8 +42,7 @@ def plucker_degree(bundle, d: int, denominator: str = PROOF) -> DegreeResult:
     if base.kind == FORMAL:
         raise ValueError("degree needs a concrete base")
     r, n = bundle.rank, base.n
-    if not 1 <= d <= r:
-        raise ValueError("need 1 <= d <= rank")
+    _corank(d, r)
     scale = Fraction(factorial(d * (r - d) + n))
     breakdown = []
     total = Fraction(0)
@@ -59,6 +58,5 @@ def fiber_degree_hook(r: int, d: int) -> int:
     """Degree of the fiber Grassmannian: the number of standard Young
     tableaux on the d x (r-d) rectangle.  Independent combinatorial
     oracle for :func:`plucker_degree` over a point."""
-    if not 1 <= d <= r:
-        raise ValueError("need 1 <= d <= r")
+    _corank(d, r)
     return syt_count((r - d,) * d)

@@ -139,6 +139,14 @@ def _refuse_non_int(what, values):
             raise TypeError(f"{what}: {value!r} is not an int")
 
 
+def _corank(d, rank):
+    """Refuse a corank d that is not an int (``TypeError``) or lies
+    outside 1 <= d <= rank (``ValueError``)."""
+    _refuse_non_int("corank", (d,))
+    if not 1 <= d <= rank:
+        raise ValueError(f"corank d={d} must satisfy 1 <= d <= rank={rank}")
+
+
 class SparseTerms:
     """A sparse map ``terms`` from exponent tuples to nonzero
     coefficients: the shared core of :class:`LaurentPoly`,
@@ -317,11 +325,7 @@ class LaurentPoly(SparseTerms):
                 _accumulate(out, _tadd(e1, e2), c1 * c2)
         return self._new(out)
 
-    def __rmul__(self, other):
-        _refuse_float(other)
-        if not other:
-            return self._new({})
-        return self._new({e: p for e, c in self.terms.items() if (p := other * c)})
+    __rmul__ = __mul__
 
     def permute_variables(self, perm) -> "LaurentPoly":
         """Apply t_i -> t_{perm[i]}; ``perm`` must be a permutation of 0..nvars-1."""

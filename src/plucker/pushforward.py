@@ -29,9 +29,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial, perm, prod
 
-from .chow import GradedElement, tower_pushforward
-from .exact import (LaurentPoly, const_of_product, det, exponent_vectors, inv_factorial,
-                    vandermonde, vandermonde_at)
+from .chow import GradedElement, _flag_monomial, tower_pushforward
+from .exact import (LaurentPoly, _corank, const_of_product, det, exponent_vectors,
+                    inv_factorial, vandermonde, vandermonde_at)
 from .symfunc import partitions_up_to, schur_delta, segre_det, segre_product, syt_count, weight
 
 _ZERO = Fraction(0)
@@ -109,23 +109,13 @@ def _as_element(base, value) -> GradedElement:
     return base.scalar(value)
 
 
-def _monomial_exponents(p, bundle, d: int):
-    """``p`` as a tuple, checked to be d nonnegative exponents of a
-    corank 1 <= d <= rank."""
-    p = tuple(p)
-    if not 1 <= d <= bundle.rank:
-        raise ValueError(f"corank d={d} must satisfy 1 <= d <= rank={bundle.rank}")
-    if len(p) != d or any(e < 0 for e in p):
-        raise ValueError("need d nonnegative exponents")
-    return p
-
-
 def monomial_pushforward_ct(p, bundle, d: int) -> GradedElement:
     """Push-forward of the flag-ring monomial prod x_i^{p_i} by the
     Laurent constant-term formula:
     const( Delta(t) prod t_i^{-p_i + r - d} s(E, t_i) )."""
-    p = _monomial_exponents(p, bundle, d)
     r = bundle.rank
+    _corank(d, r)
+    p = _flag_monomial(p, d)
     f = segre_product(bundle, [-p[i] + r - d for i in range(d)])
     return _as_element(bundle.base, const_of_product(vandermonde(d), f))
 
@@ -133,7 +123,8 @@ def monomial_pushforward_ct(p, bundle, d: int) -> GradedElement:
 def monomial_pushforward_det(p, bundle, d: int) -> GradedElement:
     """Same push-forward by the determinantal formula
     det[ s_{p_i + j - r + 1}(E) ]."""
-    p = _monomial_exponents(p, bundle, d)
+    _corank(d, bundle.rank)
+    p = _flag_monomial(p, d)
     return segre_det(bundle, [e - bundle.rank + 1 for e in p])
 
 
@@ -179,8 +170,7 @@ def ch_pushforward_closed(bundle, d: int, denominator: str = PROOF) -> GradedEle
     """Closed-sum route: sum over k in Z_{>=0}^d of the factorial weight
     times prod s_{k_i}(E).  Exponents with |k| > n only feed degrees that
     are zero by truncation, so the sum stops at |k| = n."""
-    if not 1 <= d <= bundle.rank:
-        raise ValueError("need 1 <= d <= rank")
+    _corank(d, bundle.rank)
     value = bundle.base.zero()
     for _, coeff, term in _closed_terms(bundle, d, denominator):
         value = value + term * coeff
@@ -192,8 +182,7 @@ def ch_pushforward_schur(bundle, d: int) -> GradedElement:
     f^{lam + (r-d)^d} / |lam + (r-d)^d|! times the Schur determinant in
     the Segre classes."""
     r = bundle.rank
-    if not 1 <= d <= r:
-        raise ValueError("need 1 <= d <= rank")
+    _corank(d, r)
     value = bundle.base.zero()
     for lam in partitions_up_to(d, bundle.base.n):
         mu = tuple(part + (r - d) for part in lam)
@@ -209,8 +198,7 @@ def ch_pushforward_constterm(bundle, d: int) -> GradedElement:
     const( Delta(t) prod t_i^{r-d-(d-1-i)} exp(sum 1/t_i) prod s(E, t_i) ),
     evaluated by feeding the series part through :func:`phi`."""
     r = bundle.rank
-    if not 1 <= d <= r:
-        raise ValueError("need 1 <= d <= rank")
+    _corank(d, r)
     f = segre_product(bundle, [r - d - (d - 1 - i) for i in range(d)])
     return _as_element(bundle.base, phi(f, d))
 
@@ -222,6 +210,7 @@ def ch_pushforward_oracle(bundle, d: int) -> GradedElement:
     staircase pushes the flag bundle onto the Grassmann bundle, so this is
     the sum of the push-forwards of theta^N / N!.  Independent of all
     three formula routes."""
+    _corank(d, bundle.rank)
     return tower_pushforward(bundle, range(d - 1, -1, -1), exponential=True)
 
 

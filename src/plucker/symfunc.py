@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import permutations
 from math import factorial, lcm, prod
 
-from .exact import LaurentPoly, _tadd, det, exponent_vectors, perm_sign, vandermonde_at
+from .exact import LaurentPoly, _corank, _tadd, det, exponent_vectors, perm_sign, vandermonde_at
 
 # random rational points of gen_cauchy_check have numerators in
 # [-SAMPLE_HEIGHT, SAMPLE_HEIGHT] and denominators in [1, SAMPLE_HEIGHT]
@@ -272,8 +272,7 @@ def gen_cauchy_check(r: int, d: int, trials: int = 100, seed: int = 0) -> bool:
     denominators) are resampled, never evaluated.  Each point is checked
     with its denominators cleared, on ints: equality is exact.
     """
-    if not 1 <= d <= r:
-        raise ValueError("need 1 <= d <= r")
+    _corank(d, r)
     if trials < 1:
         raise ValueError(f"trials: need at least 1, got {trials}")
     if r > 6:

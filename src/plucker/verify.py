@@ -242,23 +242,23 @@ def run_phi_suite(seed: int = 7):
 
 def run_identity_suite(
     seed: int = 11,
-    det_trials: int = 100,
+    trials: int = 100,
     cauchy_truncation: int = DEFAULT_TRUNCATION,
-    gen_cauchy_trials: int = 100,
 ):
     """Factorial determinant, Cauchy expansion, and the generalized
-    Cauchy determinant identity at random rational points."""
+    Cauchy determinant identity at random rational points: ``trials``
+    random cases of the first and points per shape of the last."""
     rng = random.Random(seed)
 
     def det_failures():
-        for _ in range(det_trials):
+        for _ in range(trials):
             d = rng.randint(1, 4)
             x = tuple(rng.randint(0, 10) for _ in range(d))
             if not factorial_det_check(x):
                 yield f"x={x}"
 
     results = [
-        _first_failure(f"factorial determinant ({det_trials} random cases)", det_failures())
+        _first_failure(f"factorial determinant ({trials} random cases)", det_failures())
     ]
 
     for rank in (2, 3, 4):
@@ -274,10 +274,10 @@ def run_identity_suite(
             )
 
     for r, d in GEN_CAUCHY_PAIRS:
-        ok = gen_cauchy_check(r, d, trials=gen_cauchy_trials, seed=seed + 100 * r + d)
+        ok = gen_cauchy_check(r, d, trials=trials, seed=seed + 100 * r + d)
         results.append(
             CaseResult(
-                f"generalized Cauchy determinant r={r} d={d} ({gen_cauchy_trials} points)",
+                f"generalized Cauchy determinant r={r} d={d} ({trials} points)",
                 ok,
             )
         )

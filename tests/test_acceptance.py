@@ -129,9 +129,7 @@ def test_criterion_5_phi_suite():
 
 
 def test_criterion_6_identity_suite():
-    results = verify.run_identity_suite(
-        seed=11, det_trials=100, cauchy_truncation=3, gen_cauchy_trials=100
-    )
+    results = verify.run_identity_suite(seed=11, trials=100, cauchy_truncation=3)
     failures = [res for res in results if not res.ok]
     report(
         6,

@@ -1,7 +1,8 @@
 """The shared sparse-term contract of LaurentPoly, GradedElement and
 FlagRingElement: additive laws, zero pruning, scalar coercion, parent
-checks, unhashability, the refusal of floats, and the refusal of any
-exponent or dimension that is not an int."""
+checks, unhashability, the refusal of floats, the refusal of any
+exponent, dimension or corank that is not an int, and the one corank
+and flag-monomial rule of every entry point that takes them."""
 
 import re
 from fractions import Fraction
@@ -18,7 +19,18 @@ from plucker.chow import (
     point,
     projective_space,
 )
+from plucker.chow import tower_pushforward
+from plucker.degree import fiber_degree_hook, plucker_degree
 from plucker.exact import LaurentPoly, exponent_vectors
+from plucker.pushforward import (
+    ch_pushforward_closed,
+    ch_pushforward_constterm,
+    ch_pushforward_oracle,
+    ch_pushforward_schur,
+    monomial_pushforward_ct,
+    monomial_pushforward_det,
+)
+from plucker.symfunc import gen_cauchy_check
 
 COEFFS = st.one_of(
     st.integers(min_value=-6, max_value=6),
@@ -253,6 +265,95 @@ def test_bundles_and_flag_rings_refuse_a_non_int_rank_or_corank(x):
     _refused(lambda: BundleModel.trivial(base, x), x)
     _refused(lambda: BundleModel.from_segre(base, x, [base.one(), base.zero(), base.zero()]), x)
     _refused(lambda: FlagRing(BundleModel.trivial(base, 3), x), x)
+
+
+# every entry point that takes a corank d, called on a rank-3 bundle over P2
+CORANK_ENTRIES = {
+    "closed": ch_pushforward_closed,
+    "schur": ch_pushforward_schur,
+    "constterm": ch_pushforward_constterm,
+    "oracle": ch_pushforward_oracle,
+    "flag_ring": FlagRing,
+    "monomial_ct": lambda E, d: monomial_pushforward_ct((1,), E, d),
+    "monomial_det": lambda E, d: monomial_pushforward_det((1,), E, d),
+    "plucker_degree": plucker_degree,
+    "fiber_degree_hook": lambda E, d: fiber_degree_hook(E.rank, d),
+    "gen_cauchy_check": lambda E, d: gen_cauchy_check(E.rank, d, trials=1),
+}
+
+
+def _rank_three():
+    return BundleModel.from_chern_roots(projective_space(2), [1, 0, -1])
+
+
+@pytest.mark.parametrize("x", NOT_INTS)
+@pytest.mark.parametrize("entry", CORANK_ENTRIES.values(), ids=CORANK_ENTRIES)
+def test_every_corank_entry_refuses_a_non_int_corank(entry, x):
+    # True once gave the d=1 answer and 2.0 the d=2 one
+    _refused(lambda: entry(_rank_three(), x), x)
+
+
+@pytest.mark.parametrize("d", [0, 4])
+@pytest.mark.parametrize("entry", CORANK_ENTRIES.values(), ids=CORANK_ENTRIES)
+def test_every_corank_entry_refuses_a_corank_outside_one_to_rank(entry, d):
+    with pytest.raises(ValueError, match=r"d=.* rank="):
+        entry(_rank_three(), d)
+
+
+@pytest.mark.parametrize("d", [0, 4])
+def test_tower_refuses_a_monomial_of_corank_outside_one_to_rank(d):
+    with pytest.raises(ValueError, match=r"d=.* rank="):
+        tower_pushforward(_rank_three(), (0,) * d)
+
+
+# every entry point that takes flag-ring exponents p_0..p_{d-1}, at d = 2
+MONOMIAL_ENTRIES = {
+    "tower": lambda ring, p: tower_pushforward(ring.bundle, p),
+    "monomial_ct": lambda ring, p: monomial_pushforward_ct(p, ring.bundle, 2),
+    "monomial_det": lambda ring, p: monomial_pushforward_det(p, ring.bundle, 2),
+    "from_terms": lambda ring, p: ring.from_terms({p: 1}),
+    "element": lambda ring, p: FlagRingElement(ring, {(0, 0): 1, p: 1}),
+}
+
+
+def _corank_two_ring():
+    return FlagRing(BundleModel.formal(formal_segre(2), 3), 2)
+
+
+@pytest.mark.parametrize("x", NOT_INTS)
+@pytest.mark.parametrize("entry", MONOMIAL_ENTRIES.values(), ids=list(MONOMIAL_ENTRIES))
+def test_every_monomial_entry_refuses_a_non_int_exponent(entry, x):
+    ring = _corank_two_ring()
+    _refused(lambda: entry(ring, (x, 3)), x)
+    _refused(lambda: entry(ring, (4, x)), x)
+
+
+@pytest.mark.parametrize("entry", MONOMIAL_ENTRIES.values(), ids=list(MONOMIAL_ENTRIES))
+def test_every_monomial_entry_refuses_a_negative_exponent(entry):
+    ring = _corank_two_ring()
+    with pytest.raises(ValueError, match="nonnegative exponents"):
+        entry(ring, (2, -1))
+
+
+# the tower reads d from len(p), so its length rule is the corank rule above
+@pytest.mark.parametrize("p", [(1,), (1, 0, 2)])
+@pytest.mark.parametrize("name", [name for name in MONOMIAL_ENTRIES if name != "tower"])
+def test_every_monomial_entry_refuses_the_wrong_length(name, p):
+    with pytest.raises(ValueError, match="needs 2 nonnegative exponents"):
+        MONOMIAL_ENTRIES[name](_corank_two_ring(), p)
+
+
+def test_flag_ring_element_is_the_normal_form():
+    """A key past the bounds is reduced, as by ``from_terms``, and a key
+    of the wrong length is refused; such keys were once stored as they
+    were, printed, and pushed forward by their top-monomial coefficient."""
+    ring = _corank_two_ring()
+    with pytest.raises(ValueError, match=r"\(9, 9, 9\) needs 2 nonnegative"):
+        FlagRingElement(ring, {(9, 9, 9): 1, (2, 1): 1, (5, 0): 1})
+    elem = FlagRingElement(ring, {(2, 1): 1, (5, 0): 1})
+    assert elem == ring.from_terms({(2, 1): 1, (5, 0): 1})
+    assert all(e <= b for exps in elem.terms for e, b in zip(exps, ring.bounds))
+    assert elem.pushforward() == ring.from_terms({(2, 1): 1}).pushforward()
 
 
 def test_flag_ring_element_coerces_scalar_coefficients():
