@@ -647,7 +647,10 @@ class FlagRing:
     Every normal form is built from one step, multiplying a basis
     monomial by some x_l: below the bound of x_l that is an exponent
     shift, and at the bound it reads a table entry (see
-    :meth:`_xi_entry`), filled on first use.  The level-l relations are
+    :meth:`_xi_entry`), filled on first use.  The level-l relation never
+    involves x_{l+1} and above, so an entry is keyed by l and the
+    exponents of x_0..x_{l-1} alone, and the step carries the monomial's
+    higher exponents onto the entry's keys.  The level-l relations are
     the table's first entries, built at construction.
 
     Coefficients are raw base term maps, and one term map may sit in
@@ -669,7 +672,7 @@ class FlagRing:
         self.bundle = bundle
         self.d = d
         self.bounds = tuple(rank - l - 1 for l in range(d))
-        # (l, basis monomial with x_l at its bound) -> normal form of its product with x_l
+        # (l, exponents of x_0..x_{l-1}) -> normal form of that monomial times x_l^(bound_l + 1)
         self._xi_basis = {}
         zero_key = (0,) * d
         # c_j(K_l), j = 0..rank, as maps from monomials in x_0..x_{l-1} to base term maps
@@ -681,7 +684,7 @@ class FlagRing:
                 for exps, coeff in kernel[j].items():
                     key = exps[:l] + (rank - l - j,) + exps[l + 1 :]
                     rule[key] = coeff if j % 2 else {e: -c for e, c in coeff.items()}
-            self._xi_basis[(l, zero_key[:l] + (rank - l - 1,) + zero_key[l + 1 :])] = rule
+            self._xi_basis[(l, zero_key[:l])] = rule
             if l + 1 < d:
                 # c_j(K_{l+1}) = c_j(K_l) - x_l c_{j-1}(K_{l+1}): the shift
                 # stays within the bound of x_l and lands on no term of
@@ -698,26 +701,22 @@ class FlagRing:
 
     # -- normal forms ----------------------------------------------------
 
-    def _xi_entry(self, l, exps):
-        """Normal form of x^exps * x_l for a basis monomial whose x_l
-        exponent is at its bound, cached.
+    def _xi_entry(self, l, lower):
+        """Normal form of x_0^e_0 ... x_{l-1}^e_{l-1} x_l^(bound_l + 1) for
+        ``lower`` = (e_0, ..., e_{l-1}) within the bounds, cached under
+        ``(l, lower)``.  Its monomials have no x above x_l, because the
+        level-l relation and those below it involve none.
 
-        Without lower generators the entry is the level-l rule with the
-        exponents above l carried over.  Otherwise it is the entry of the
-        monomial with its lowest nonzero generator x_j taken off, times x_j.
+        With ``lower`` all zero the entry is the level-l rule.  Otherwise
+        it is the entry of ``lower`` with its lowest nonzero exponent e_j
+        lowered by one, times x_j.
         """
         table = self._xi_basis
-        got = table.get((l, exps))
+        got = table.get((l, lower))
         if got is None:
-            j = next((i for i in range(l) if exps[i]), None)
-            if j is None:
-                rule = table[(l, exps[: l + 1] + (0,) * (self.d - l - 1))]
-                upper = (0,) * (l + 1) + exps[l + 1 :]
-                got = {_tadd(e, upper): c for e, c in rule.items()}
-            else:
-                lower = exps[:j] + (exps[j] - 1,) + exps[j + 1 :]
-                got = self._times_x(self._xi_entry(l, lower), j)
-            table[(l, exps)] = got
+            j = next(i for i in range(l) if lower[i])
+            less = lower[:j] + (lower[j] - 1,) + lower[j + 1 :]
+            got = table[(l, lower)] = self._times_x(self._xi_entry(l, less), j)
         return got
 
     def _times_x(self, terms, *levels):
@@ -726,9 +725,12 @@ class FlagRing:
 
         Below the bound of x_l the product is an exponent shift, and a
         shifted coefficient that nothing else lands on is kept as the
-        same object.  Every other coefficient is a term map of the
-        result's own, listed in ``owned``: accumulated raw, through the
-        base model's fused product, and pruned once at the end."""
+        same object.  At the bound the product reads the table entry of
+        the monomial's exponents below x_l, and its exponents above x_l
+        are carried onto the entry's keys.  Every other coefficient is a
+        term map of the result's own, listed in ``owned``: accumulated
+        raw, through the base model's fused product, and pruned once at
+        the end."""
         mul_into = self.bundle.base._mul_into
         out = {}
         owned = set()
@@ -746,7 +748,11 @@ class FlagRing:
                         have = out[key] = dict(have)
                     _add_terms(have, coeff)
                     continue
-                for rexps, rcoeff in self._xi_entry(l, exps).items():
+                entry = self._xi_entry(l, exps[:l]).items()
+                upper = exps[l + 1 :]
+                if any(upper):
+                    entry = [(rexps[: l + 1] + upper, rcoeff) for rexps, rcoeff in entry]
+                for rexps, rcoeff in entry:
                     have = out.get(rexps)
                     if rexps not in owned:
                         owned.add(rexps)

@@ -441,8 +441,16 @@ def build_parser():
     return parser
 
 
+_PARSER = None
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one command line; the parser is built by the first call and
+    reused by later ones."""
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     try:
         config = load_config(args.config) if args.config else {}
         merged = _merge(config, args)

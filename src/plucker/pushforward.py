@@ -27,7 +27,8 @@ oracle and the classical degrees, but both are available for comparison
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, perm, prod
+from functools import cache
+from math import factorial, lcm, perm, prod
 
 from .chow import GradedElement, _flag_monomial, tower_pushforward
 from .exact import (LaurentPoly, _corank, const_of_product, det, exponent_vectors,
@@ -46,18 +47,36 @@ def phi(f: LaurentPoly, nvars: int):
 
     With a_i = e_i + d - 1, the monomial t^e goes to det[1/(a_i - j)!],
     where 1/m! = 0 for m < 0.  Row i times a_i! is the integer falling
-    factorials a_i!/(a_i - j)!, so t^e adds its coefficient times the
-    determinant :func:`_int_det` of those over prod a_i!."""
+    factorials a_i!/(a_i - j)!, read from :func:`_falling_row`, so t^e
+    adds its coefficient times the determinant :func:`_int_det` of those
+    over prod a_i!.  Int and ``Fraction`` coefficients are summed as one
+    numerator over the lcm of their denominators, and one ``Fraction``
+    is built at the end."""
     if f.nvars != nvars:
         raise ValueError("variable count mismatch")
     total = _ZERO
+    num_sum, den_sum = 0, 1
     for exps, coeff in f.terms.items():
         tops = [e + nvars - 1 for e in exps]
         if min(tops) >= 0:  # else row i of the determinant is zero
-            num = _int_det([[perm(a, j) for j in range(nvars)] for a in tops])
-            if num:
-                total = total + coeff * Fraction(num, prod(map(factorial, tops)))
-    return total
+            num = _int_det([list(_falling_row(a, nvars)) for a in tops])
+            if not num:
+                continue
+            den = prod(map(factorial, tops))
+            if isinstance(coeff, (int, Fraction)):
+                num, den = num * coeff.numerator, den * coeff.denominator
+                common = lcm(den_sum, den)
+                num_sum = num_sum * (common // den_sum) + num * (common // den)
+                den_sum = common
+            else:
+                total = total + coeff * Fraction(num, den)
+    return total + Fraction(num_sum, den_sum) if num_sum else total
+
+
+@cache
+def _falling_row(a: int, nvars: int) -> tuple:
+    """The falling factorials a!/(a - j)! for j < nvars, zero past a."""
+    return tuple(perm(a, j) for j in range(nvars))
 
 
 def _int_det(rows) -> int:

@@ -16,10 +16,12 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import cache
 from itertools import permutations
 from math import factorial, lcm, prod
 
-from .exact import LaurentPoly, _corank, _tadd, det, exponent_vectors, perm_sign, vandermonde_at
+from .exact import (LaurentPoly, _corank, _refuse_non_int, _tadd, det, exponent_vectors, perm_sign,
+                    vandermonde_at)
 
 # random rational points of gen_cauchy_check have numerators in
 # [-SAMPLE_HEIGHT, SAMPLE_HEIGHT] and denominators in [1, SAMPLE_HEIGHT]
@@ -219,26 +221,33 @@ def _to_integers(values):
     return [v.numerator * (common // v.denominator) for v in values], common
 
 
-def _signed_block_sum(xs, d, perms, weights):
+@cache
+def _block_plan(r, d):
+    """The r! permutations of r points, split into a first block of d and
+    a second of r - d: the distinct ordered first blocks, the distinct
+    ordered second blocks, and one (sign, first index, second index)
+    triple per permutation."""
+    firsts, seconds, triples = {}, {}, []
+    for perm in permutations(range(r)):
+        a = firsts.setdefault(perm[:d], len(firsts))
+        b = seconds.setdefault(perm[d:], len(seconds))
+        triples.append((perm_sign(perm), a, b))
+    return tuple(firsts), tuple(seconds), tuple(triples)
+
+
+def _signed_block_sum(xs, plan, weights):
     """Sum over permutations of sgn * V(a) V(b) * prod_{x in b} w(x),
     where a and b are the first d and the last r-d permuted points and
-    ``weights[i]`` is w(xs[i]).  Each ordered block is evaluated once,
-    keyed by its indices, and the sum still adds all r! signed products."""
-    firsts, seconds = {}, {}
-    total = 0
-    for sign, perm in perms:
-        a, b = perm[:d], perm[d:]
-        va = firsts.get(a)
-        if va is None:
-            va = firsts[a] = vandermonde_at([xs[i] for i in a])
-        vb = seconds.get(b)
-        if vb is None:
-            vb = seconds[b] = vandermonde_at([xs[i] for i in b]) * prod(weights[i] for i in b)
-        total += sign * va * vb
-    return total
+    ``weights[i]`` is w(xs[i]).  Each ordered block of the
+    :func:`_block_plan` is evaluated once, and the sum still adds all r!
+    signed products."""
+    firsts, seconds, triples = plan
+    va = [vandermonde_at([xs[i] for i in a]) for a in firsts]
+    vb = [vandermonde_at([xs[i] for i in b]) * prod(weights[i] for i in b) for b in seconds]
+    return sum(sign * va[a] * vb[b] for sign, a, b in triples)
 
 
-def _tau_point_holds(xs, taus, d, perms, scale):
+def _tau_point_holds(xs, taus, plan, scale):
     """The tau form at one point, with every denominator cleared:
     sum sgn V(a)V(b) prod_{tau, x in b}(tau - x) == scale * V(X), the
     identity times prod_{tau, x}(tau - x), at the point scaled to
@@ -246,10 +255,10 @@ def _tau_point_holds(xs, taus, d, perms, scale):
     ints, _ = _to_integers(list(xs) + list(taus))
     xs, taus = ints[:len(xs)], ints[len(xs):]
     weights = [prod(tau - x for tau in taus) for x in xs]
-    return _signed_block_sum(xs, d, perms, weights) == scale * vandermonde_at(xs)
+    return _signed_block_sum(xs, plan, weights) == scale * vandermonde_at(xs)
 
 
-def _t_point_holds(xs, ts, d, perms, scale):
+def _t_point_holds(xs, ts, plan, scale):
     """The t form at one point, with every denominator cleared: for
     x = X/L and t = T/M, 1 - x t = (LM - XT)/(LM), and the identity times
     prod_{t, x}(1 - x t) becomes
@@ -258,8 +267,8 @@ def _t_point_holds(xs, ts, d, perms, scale):
     ts, big_m = _to_integers(ts)
     lm = big_l * big_m
     weights = [prod(lm - x * t for t in ts) for x in xs]
-    rhs = scale * vandermonde_at(xs) * prod(t ** (len(xs) - d) for t in ts)
-    return _signed_block_sum(xs, d, perms, weights) == rhs
+    rhs = scale * vandermonde_at(xs) * prod(t ** (len(xs) - len(ts)) for t in ts)
+    return _signed_block_sum(xs, plan, weights) == rhs
 
 
 def gen_cauchy_check(r: int, d: int, trials: int = 100, seed: int = 0) -> bool:
@@ -272,6 +281,7 @@ def gen_cauchy_check(r: int, d: int, trials: int = 100, seed: int = 0) -> bool:
     denominators) are resampled, never evaluated.  Each point is checked
     with its denominators cleared, on ints: equality is exact.
     """
+    _refuse_non_int("rank", (r,))
     _corank(d, r)
     if trials < 1:
         raise ValueError(f"trials: need at least 1, got {trials}")
@@ -279,13 +289,13 @@ def gen_cauchy_check(r: int, d: int, trials: int = 100, seed: int = 0) -> bool:
         raise ValueError("r is capped at 6: the antisymmetrizer sums r! terms")
     rng = random.Random(seed)
     scale = factorial(d) * factorial(r - d)
-    perms = [(perm_sign(p), p) for p in permutations(range(r))]
+    plan = _block_plan(r, d)
     for _ in range(trials):
         xs, taus = _sample_point(rng, r, d, SAMPLE_HEIGHT, _tau_clash)
-        if not _tau_point_holds(xs, taus, d, perms, scale):
+        if not _tau_point_holds(xs, taus, plan, scale):
             return False
         xs, ts = _sample_point(rng, r, d, SAMPLE_HEIGHT, _t_clash)
-        if not _t_point_holds(xs, ts, d, perms, scale):
+        if not _t_point_holds(xs, ts, plan, scale):
             return False
     return True
 

@@ -18,6 +18,7 @@ from plucker.chow import (
     point,
     projective_space,
     segre_from_chern,
+    tower_pushforward,
 )
 from plucker.exact import LaurentPoly, exponent_vectors
 from plucker.pushforward import ALL_METHODS, ch_pushforward, monomial_pushforward_det
@@ -438,6 +439,53 @@ def test_normal_form_step_is_multiplication_by_xi(data):
     assert pushed == monomial_pushforward_det(e, ring.bundle, ring.d)
 
 
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_exponents_above_a_level_are_carried_onto_its_entry(data):
+    """x^(a + b), where x_l of a sits at its bound, b raises it and b
+    raises a higher x as well, so that the steps at level l carry
+    exponents above l onto the table entry: from_terms of a + b is the
+    product of the two normal forms, and its push-forward is the
+    tower's."""
+    kind = data.draw(st.sampled_from(BUNDLE_KINDS))
+    rank = data.draw(st.integers(min_value=2, max_value=6))
+    bundle = _bundle(kind, rank, lambda lo, hi: data.draw(st.integers(lo, hi)))
+    d = data.draw(st.integers(min_value=2, max_value=bundle.rank))
+    ring = FlagRing(bundle, d)
+    l = data.draw(st.integers(min_value=0, max_value=d - 2))
+    a = [data.draw(st.integers(0, bound)) for bound in ring.bounds]
+    a[l] = ring.bounds[l]
+    b = [data.draw(st.integers(0, 3)) for _ in range(d)]
+    b[l] = max(b[l], 1)
+    up = data.draw(st.integers(min_value=l + 1, max_value=d - 1))
+    b[up] = max(b[up], 1)
+    total = tuple(x + y for x, y in zip(a, b))
+    got = ring.from_terms({total: 1})
+    assert got == ring.from_terms({tuple(a): 1}) * ring.from_terms({tuple(b): 1})
+    assert got.pushforward() == tower_pushforward(bundle, total)
+
+
+@pytest.mark.parametrize("kind", BUNDLE_KINDS)
+def test_xi_table_is_keyed_by_level_and_lower_exponents(kind):
+    """Every ``_xi_basis`` key is (l, exponents of x_0..x_{l-1}), and its
+    entry is the normal form of those exponents times x_l^(bound_l + 1),
+    with no x above x_l."""
+    bundle = _bundle(kind, 5, random.Random(3).randint)
+    ring = FlagRing(bundle, 3)
+    ring.pushforward_theta_power(sum(ring.bounds) + bundle.base.n)
+    for e in [(6, 0, 0), (0, 5, 3), (4, 4, 4), (7, 1, 2)]:
+        ring.from_terms({e: 1})
+    fresh = FlagRing(bundle, 3)
+    assert len(ring._xi_basis) > ring.d
+    for (l, lower), entry in ring._xi_basis.items():
+        assert type(lower) is tuple and len(lower) == l
+        assert all(0 <= e <= bound for e, bound in zip(lower, ring.bounds))
+        assert all(not any(exps[l + 1 :]) for exps in entry)
+        exps = lower + (ring.bounds[l] + 1,) + (0,) * (ring.d - l - 1)
+        stored = {e: GradedElement(bundle.base, c) for e, c in entry.items()}
+        assert fresh.from_terms(stored) == fresh.from_terms({exps: 1}), (l, lower)
+
+
 def _coefficients(term_map):
     for value in term_map.values():
         yield from value.values()
@@ -509,15 +557,17 @@ def test_normal_form_degree_budget(data):
 @pytest.mark.parametrize("kind", BUNDLE_KINDS + ("point",))
 def test_monomial_past_the_budget_is_skipped(kind):
     """x^e with |e| = sum(bounds) + n + 1 normalizes to 0 without a
-    table entry, where the unbudgeted steps fill one (once x_0 has
-    higher generators beside it), and its coefficient map is left as it
+    table entry, where the unbudgeted steps fill one (once the excess
+    sits on x_1 above x_0 at its bound: the table is keyed by the
+    exponents below the level), and its coefficient map is left as it
     was."""
     for rank in range(1, 6):
         bundle = _budget_bundle(kind, rank, random.Random(rank).randint)
         for d in range(1, bundle.rank + 1):
             ring = FlagRing(bundle, d)
             bounds = ring.bounds
-            exps = (bounds[0] + bundle.base.n + 1,) + bounds[1:]
+            excess = (0, bundle.base.n + 1) if d > 1 else (bundle.base.n + 1,)
+            exps = tuple(b + e for b, e in zip(bounds, excess + (0,) * d))
             terms = {exps: _inhomogeneous(bundle.base)}
             before = _snapshot(terms)
             entries = len(ring._xi_basis)
@@ -526,7 +576,7 @@ def test_monomial_past_the_budget_is_skipped(kind):
             assert _snapshot(terms) == before
             reference = FlagRing(bundle, d)
             assert _reference_normal_form(reference, terms) == 0
-            if any(bounds[1:]):
+            if d > 1:
                 assert len(reference._xi_basis) > entries
 
 

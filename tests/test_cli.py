@@ -482,6 +482,49 @@ def test_console_entry_point_installed():
     assert "degree = 2" in proc.stdout
 
 
+class TestParserReuse:
+    """``main`` builds its parser once per process, and an argparse error
+    leaves it fit for the calls after it: each call prints and exits as
+    it does alone in a fresh process."""
+
+    CALLS = [
+        ("degree", "--rank", "x"),
+        ("degree", "--base", "point", "--rank", "4", "-d", "2"),
+        ("verify", "--max-rank", "2", "--truncation", "1", "--format", "json"),
+        ("identity-check", "--trials", "2", "--seed", "3"),
+    ]
+
+    def test_one_parser_same_output_as_fresh_processes(self, capsys, monkeypatch):
+        import os
+        from pathlib import Path
+
+        from plucker import cli
+
+        src = str(Path(cli.__file__).resolve().parents[1])
+        monkeypatch.setenv("COLUMNS", "80")
+        monkeypatch.setattr(cli, "_PARSER", None)
+        built = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+        codes = []
+        for argv in self.CALLS:
+            try:
+                code = main(list(argv))
+            except SystemExit as stop:
+                code = stop.code
+            captured = capsys.readouterr()
+            proc = subprocess.run(
+                [sys.executable, "-m", "plucker.cli", *argv],
+                capture_output=True, text=True, timeout=120,
+                env=dict(os.environ, COLUMNS="80", PYTHONPATH=src),
+            )
+            assert (code, captured.out, captured.err) == (
+                proc.returncode, proc.stdout, proc.stderr), argv
+            codes.append(code)
+        assert codes == [2, 0, 0, 0]
+        assert built == [1]
+
+
 class TestOptionTable:
     """Each command takes a flag only for an option it reads, and the
     INI file may set only keys of the option table."""
@@ -582,6 +625,7 @@ class TestOptionTable:
         assert seen == listed
 
     def test_readme_lists_every_key(self, tmp_path):
+        import os
         from pathlib import Path
 
         from plucker import cli

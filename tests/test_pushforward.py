@@ -129,6 +129,38 @@ class TestPhiAgainstPerTermReference:
         assert got == _phi_per_term(f, 2)
 
 
+class TestPhiRowTable:
+    """phi reads its falling-factorial rows from a cache and sums int and
+    Fraction coefficients over one common denominator."""
+
+    def test_repeated_call_leaves_the_cached_rows_alone(self):
+        f = LaurentPoly.monomial(3, (4, 1, 0))
+        first = phi(f, 3)
+        rows = [pushforward._falling_row(e + 2, 3) for e in (4, 1, 0)]
+        saved = [tuple(row) for row in rows]
+        assert rows[0] == (1, 6, 30)
+        assert phi(f, 3) == first == phi_eval_monomial((4, 1, 0))
+        again = [pushforward._falling_row(e + 2, 3) for e in (4, 1, 0)]
+        assert all(new is old for new, old in zip(again, rows))
+        assert again == saved and all(type(row) is tuple for row in again)
+
+    def test_sum_of_one_term_values(self):
+        base = formal_segre(2)
+        f = LaurentPoly(2, {
+            (3, 0): 4,
+            (1, 2): Fraction(-5, 6),
+            (2, 0): base.scalar(2) + base.segre_generator(1) * Fraction(1, 3),
+            (0, 1): Fraction(7, 4),
+            (5, 1): -3,
+            (-1, 4): 9,
+        })
+        total = 0
+        for exps, coeff in f.terms.items():
+            total = phi(LaurentPoly(2, {exps: coeff}), 2) + total
+        assert phi(f, 2) == total
+        assert isinstance(phi(f, 2), GradedElement)
+
+
 class TestIntDet:
     """The fraction-free elimination behind phi, against the division-free
     generic determinant of ``exact``."""

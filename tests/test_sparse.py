@@ -300,6 +300,21 @@ def test_every_corank_entry_refuses_a_corank_outside_one_to_rank(entry, d):
         entry(_rank_three(), d)
 
 
+# the entry points that take the rank r itself rather than a bundle
+RANK_ENTRIES = {
+    "fiber_degree_hook": lambda r: fiber_degree_hook(r, 1),
+    "gen_cauchy_check": lambda r: gen_cauchy_check(r, 1, trials=2),
+}
+
+
+@pytest.mark.parametrize("r", [True, 3.0, Fraction(3)])
+@pytest.mark.parametrize("entry", RANK_ENTRIES.values(), ids=RANK_ENTRIES)
+def test_every_rank_entry_refuses_a_non_int_rank(entry, r):
+    # True once gave the r=1 answer, and 3.0 failed inside range()
+    with pytest.raises(TypeError, match=re.escape(f"rank: {r!r} is not an int")):
+        entry(r)
+
+
 @pytest.mark.parametrize("d", [0, 4])
 def test_tower_refuses_a_monomial_of_corank_outside_one_to_rank(d):
     with pytest.raises(ValueError, match=r"d=.* rank="):

@@ -18,6 +18,7 @@ from plucker.symfunc import (
     schur_delta,
     schur_in_t,
     segre_product,
+    _block_plan,
     _sample_point,
     _t_clash,
     _t_point_holds,
@@ -335,14 +336,14 @@ class TestGeneralizedCauchy:
         # for wrong ones
         clash, holds, sides = form
         rng = random.Random(100 * r + d)
-        perms = [(perm_sign(p), p) for p in permutations(range(r))]
+        plan = _block_plan(r, d)
         right = factorial(d) * factorial(r - d)
         for _ in range(4):
             xs, ys = _sample_point(rng, r, d, 20, clash)
             lhs, rhs = sides(xs, ys, r, d)
             assert rhs != 0
             for scale in (right, right + 1, right - 1, 2 * right):
-                assert holds(xs, ys, d, perms, scale) == (lhs == scale * rhs), scale
+                assert holds(xs, ys, plan, scale) == (lhs == scale * rhs), scale
 
     @pytest.mark.parametrize("r,d", CAUCHY_SHAPES)
     @pytest.mark.parametrize("form", CAUCHY_FORMS, ids=["tau", "t"])
@@ -351,13 +352,23 @@ class TestGeneralizedCauchy:
         # be able to fail
         clash, holds, _ = form
         rng = random.Random(7 * r + d)
-        perms = [(perm_sign(p), p) for p in permutations(range(r))]
+        plan = _block_plan(r, d)
         right = factorial(d) * factorial(r - d)
         for _ in range(3):
             xs, ys = _sample_point(rng, r, d, 20, clash)
-            assert holds(xs, ys, d, perms, right)
-            assert not holds(xs, ys, d, perms, right + 1)
-            assert not holds(xs, ys, d, perms, right - 1)
+            assert holds(xs, ys, plan, right)
+            assert not holds(xs, ys, plan, right + 1)
+            assert not holds(xs, ys, plan, right - 1)
+
+    @pytest.mark.parametrize("r,d", CAUCHY_SHAPES + [(6, 3), (1, 1)])
+    def test_block_plan_has_every_signed_permutation(self, r, d):
+        firsts, seconds, triples = _block_plan(r, d)
+        assert len(triples) == factorial(r)
+        assert len(firsts) == factorial(r) // factorial(r - d)
+        assert len(seconds) == factorial(r) // factorial(d)
+        perms = [firsts[a] + seconds[b] for _, a, b in triples]
+        assert sorted(perms) == sorted(permutations(range(r)))
+        assert all(sign == perm_sign(p) for (sign, _, _), p in zip(triples, perms))
 
     def test_hand_point_r2_d1(self):
         # A(1/(tau - x0)) at x = (0, 1), tau = 2: 1/2 - 1 = -1/2 = (0-1)/(2*1)
