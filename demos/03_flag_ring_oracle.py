@@ -11,9 +11,10 @@ base ring with basis
 
 Each generator x_l is the hyperplane class of one projective-bundle
 step; its power x_l^{r-l} rewrites into lower powers through the Chern
-classes of the l-th kernel bundle, which are themselves computed by
-truncated series division.  Push-forward to the base just reads off the
-coefficient of the top basis monomial.  No Groebner machinery: the
+classes of the l-th kernel bundle, c(K_l) = c(E) / prod_{i<l} (1 + x_i),
+written out in closed form: c_j(K_l) = sum_a (-1)^|a| x^a c_{j-|a|}(E).
+Push-forward to the base just reads off the coefficient of the top basis
+monomial.  No Groebner machinery: the
 relations are triangular in the variables, so reduction terminates on
 its own.
 """

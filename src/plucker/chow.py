@@ -12,8 +12,9 @@ Three base models are supported:
 
 Elements of a base model (:class:`GradedElement`) and of a flag ring
 (:class:`FlagRingElement`) are ``exact.SparseTerms`` maps, which supply
-their addition, subtraction, equality and powers; each class here adds
-its parent check, scalar coercion, product and printing.  The tower and
+their addition, subtraction, equality, powers and printing; each class
+here adds its parent check, scalar coercion and product, and a graded
+element its own order and names for printing.  The tower and
 the flag ring compute on raw base term maps (exponent tuple -> nonzero
 coefficient) and wrap a :class:`GradedElement` only around a result.
 
@@ -28,10 +29,12 @@ module over the base with the monomial basis
 x_0^{i_0} ... x_{d-1}^{i_{d-1}}, 0 <= i_l <= rank-l-1, where push-forward
 is coefficient extraction on the top basis monomial: a brute-force
 reference for the tower at small shapes, and the oracle of the
-verification's monomial grid.  Both push-downs share one degree
-argument: a term of x-degree k and base degree b is zero once k + b
-passes n plus the fibre dimensions still to be pushed down, so the tower
-drops it at each level and a normal form never computes it.
+verification's monomial grid.  Its relations are written in normal form
+from the closed form of c(K_l) = c(E) / prod_{j<l} (1 + x_j).  Both
+push-downs share one degree argument: a term of x-degree k and base
+degree b is zero once k + b passes n plus the fibre dimensions still to
+be pushed down, so the tower drops it at each level and a normal form
+never computes it.
 :meth:`FlagRing.from_terms` is the one way an element is built from
 outside the ring, through ``FlagRingElement(ring, terms)`` too, so every
 element is in normal form.  A monomial x^p is refused unless p is d
@@ -50,7 +53,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .exact import (
-    LaurentPoly, SparseTerms, _corank, _refuse_float, _refuse_non_int, _tadd, monomial_text,
+    LaurentPoly, SparseTerms, _corank, _refuse_float, _refuse_non_int, _tadd, exponent_vectors,
 )
 
 _ZERO = 0
@@ -643,11 +646,15 @@ class FlagRing:
 
     The relation for x_l^{rank-l} comes from the vanishing of the Chern
     polynomial of the l-th kernel bundle K_l, whose Chern classes
-    c(K_l) = c(E) / prod_{j<l} (1 + x_j) only involve x_0..x_{l-1}.
-    Every normal form is built from one step, multiplying a basis
-    monomial by some x_l: below the bound of x_l that is an exponent
-    shift, and at the bound it reads a table entry (see
-    :meth:`_xi_entry`), filled on first use.  The level-l relation never
+    c(K_l) = c(E) / prod_{j<l} (1 + x_j) only involve x_0..x_{l-1}.  It
+    is built from their closed form c_j(K_l) = sum_a (-1)^|a| x^a
+    c_{j-|a|}(E), over exponents a of x_0..x_{l-1} with |a| <= rank - l:
+    each a_i is then within the bound rank - i - 1 of x_i, so the
+    relation is in normal form as written.  Every normal form is built
+    from one step, multiplying a basis monomial by some x_l: below the
+    bound of x_l that is an exponent shift, and at the bound it reads a
+    table entry (see :meth:`_xi_entry`), filled on first use.  The
+    level-l relation never
     involves x_{l+1} and above, so an entry is keyed by l and the
     exponents of x_0..x_{l-1} alone, and the step carries the monomial's
     higher exponents onto the entry's keys.  The level-l relations are
@@ -674,29 +681,20 @@ class FlagRing:
         self.bounds = tuple(rank - l - 1 for l in range(d))
         # (l, exponents of x_0..x_{l-1}) -> normal form of that monomial times x_l^(bound_l + 1)
         self._xi_basis = {}
-        zero_key = (0,) * d
-        # c_j(K_l), j = 0..rank, as maps from monomials in x_0..x_{l-1} to base term maps
-        kernel = [{zero_key: c.terms} if c else {} for c in bundle.chern]
+        chern = [c.terms for c in bundle.chern]
+        negated = [{e: -c for e, c in terms.items()} for terms in chern]
         for l in range(d):
-            # rule: x_l^{rank-l} = sum_{j>=1} (-1)^(j+1) c_j(K_l) x_l^{rank-l-j}
+            # rule: x_l^(rank-l) = sum_{j>=1} (-1)^(j+1) c_j(K_l) x_l^(rank-l-j), with
+            # c_j(K_l) = sum_a (-1)^|a| x^a c_{j-|a|}(E) over exponents a of x_0..x_{l-1}
             rule = {}
-            for j in range(1, rank - l + 1):
-                for exps, coeff in kernel[j].items():
-                    key = exps[:l] + (rank - l - j,) + exps[l + 1 :]
-                    rule[key] = coeff if j % 2 else {e: -c for e, c in coeff.items()}
-            self._xi_basis[(l, zero_key[:l])] = rule
-            if l + 1 < d:
-                # c_j(K_{l+1}) = c_j(K_l) - x_l c_{j-1}(K_{l+1}): the shift
-                # stays within the bound of x_l and lands on no term of
-                # c_j(K_l), whose exponents of x_l are 0
-                nxt = [kernel[0]]
-                for j in range(1, rank - l):
-                    step = dict(kernel[j])
-                    for exps, coeff in nxt[j - 1].items():
-                        key = exps[:l] + (exps[l] + 1,) + exps[l + 1 :]
-                        step[key] = {e: -c for e, c in coeff.items()}
-                    nxt.append(step)
-                kernel = nxt + [{}] * (l + 2)
+            tail = (0,) * (d - l - 1)
+            for a in exponent_vectors(l, max_total=rank - l):
+                size = sum(a)
+                for j in range(max(size, 1), rank - l + 1):
+                    if chern[j - size]:
+                        table = chern if (j + size) % 2 else negated
+                        rule[a + (rank - l - j,) + tail] = table[j - size]
+            self._xi_basis[(l, (0,) * l)] = rule
         self._theta_chain = None
 
     # -- normal forms ----------------------------------------------------
@@ -842,6 +840,7 @@ class FlagRing:
         monomial prod x_i^{d-1-i} by (sum x_i)^N and read off the top
         basis coefficient.  Partial products are cached per ring.
         """
+        _refuse_non_int("power", (N,))
         if N < 0:
             raise ValueError("power must be nonnegative")
         model = self.bundle.base
@@ -902,20 +901,6 @@ class FlagRingElement(SparseTerms):
         """Push-forward to the base: the coefficient on the top monomial."""
         value = self.terms.get(self.ring.bounds)
         return value if value is not None else self.ring.bundle.base.zero()
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        names = [f"x{l}" for l in range(self.ring.d)]
-        bits = []
-        for exps in sorted(self.terms):
-            mono = monomial_text(names, exps)
-            coeff = self.terms[exps]
-            text = repr(coeff)
-            if len(coeff.terms) > 1 and mono:
-                text = f"({text})"
-            bits.append(f"{text}*{mono}" if mono else text)
-        return " + ".join(bits)
 
 
 def _flag_element(ring, terms):

@@ -231,16 +231,8 @@ def build_bundle(base, merged: dict):
         if base.kind == FORMAL:
             raise ConfigError("bundle.segre: explicit Segre classes need a concrete base")
         values = [_parse_fraction("bundle.segre", bit) for bit in _parse_list(segre_raw)]
-        if len(values) != base.n + 1:
-            raise ConfigError(
-                f"bundle.segre: need s_0..s_{base.n} ({base.n + 1} values), got {len(values)}"
-            )
-        if values[0] != 1:
-            raise ConfigError("bundle.segre: s_0 must be 1")
         h = base.one() if base.kind == POINT else base.hyperplane()
-        classes = [base.one()]
-        for i, q in enumerate(values[1:], start=1):
-            classes.append(h ** i * q)
+        classes = [h ** i * q for i, q in enumerate(values)]
         try:
             return BundleModel.from_segre(
                 base, rank, classes, label=f"segre {', '.join(map(str, values))} over {base!r}"
@@ -329,7 +321,7 @@ def cmd_chern_pushforward(merged) -> int:
         method: ch_pushforward(bundle, d, method, denominator)
         for method in ALL_METHODS
     }
-    agree = all(series["closed"] == other for other in series.values())
+    detail = verify_mod.route_disagreement(series)
     degrees = list(range(base.n + 1))
     if fmt == "json":
         docs = []
@@ -346,9 +338,9 @@ def cmd_chern_pushforward(merged) -> int:
                 }
             )
         print(json.dumps(docs, indent=2, sort_keys=True))
-        if not agree:
-            print("methods agree: NO", file=sys.stderr)
-        return 0 if agree else 1
+        if detail:
+            print(f"methods agree: NO\n{detail}", file=sys.stderr)
+        return 1 if detail else 0
     print(f"push-forward of ch(det Q) for {bundle.label}, d={d}")
     cells = {
         (m, method): repr(series[method].component(m))
@@ -365,8 +357,10 @@ def cmd_chern_pushforward(merged) -> int:
     for m in degrees:
         row = " | ".join(cells[(m, method)].ljust(widths[method]) for method in ALL_METHODS)
         print(f"  {m:3d} | {row}")
-    print(f"methods agree: {'yes' if agree else 'NO'}")
-    return 0 if agree else 1
+    print(f"methods agree: {'NO' if detail else 'yes'}")
+    if detail:
+        print(detail, file=sys.stderr)
+    return 1 if detail else 0
 
 
 def _print_results(results, fmt) -> int:

@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import factorial
 
 from .chow import FORMAL, integrate
-from .exact import _corank, _refuse_non_int, exact_str
+from .exact import _corank, exact_str
 from .pushforward import PROOF, _closed_terms
 from .symfunc import syt_count
 
@@ -58,6 +58,5 @@ def fiber_degree_hook(r: int, d: int) -> int:
     """Degree of the fiber Grassmannian: the number of standard Young
     tableaux on the d x (r-d) rectangle.  Independent combinatorial
     oracle for :func:`plucker_degree` over a point."""
-    _refuse_non_int("rank", (r,))
     _corank(d, r)
     return syt_count((r - d,) * d)

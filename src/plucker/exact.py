@@ -140,8 +140,9 @@ def _refuse_non_int(what, values):
 
 
 def _corank(d, rank):
-    """Refuse a corank d that is not an int (``TypeError``) or lies
-    outside 1 <= d <= rank (``ValueError``)."""
+    """Refuse a rank or a corank d that is not an int (``TypeError``),
+    or a corank outside 1 <= d <= rank (``ValueError``)."""
+    _refuse_non_int("rank", (rank,))
     _refuse_non_int("corank", (d,))
     if not 1 <= d <= rank:
         raise ValueError(f"corank d={d} must satisfy 1 <= d <= rank={rank}")
@@ -153,8 +154,10 @@ class SparseTerms:
     ``chow.GradedElement`` and ``chow.FlagRingElement``.
 
     Truth, equality, ``+``, unary ``-``, ``-``, ``**`` and the printing
-    of a sum live here.  A subclass adds its constructor, its ``*`` and
-    its ``repr``, and three hooks:
+    of a sum live here; the default ``repr`` lists the terms in ascending
+    exponent order in the variables x0, x1, ..., as a flag-ring element
+    prints.  A subclass adds its constructor, its ``*``, its own ``repr``
+    if it orders or names its variables otherwise, and three hooks:
 
     * ``_coerce(other)``: ``other`` as an instance with the same parent
       (variable count, base model or flag ring), or None when ``other``
@@ -212,7 +215,8 @@ class SparseTerms:
     def _text(self, order, names) -> str:
         """The terms as a sum in ``order``, each ``coeff*monomial`` in the
         variables ``names``; a coefficient 1 is left out, -1 becomes a
-        sign, and no terms print as ``0``."""
+        sign, a ring coefficient of several terms is put in parentheses
+        before its monomial, and no terms print as ``0``."""
         bits = []
         for exps in order:
             coeff = self.terms[exps]
@@ -224,13 +228,20 @@ class SparseTerms:
                 bits.append(mono)
             elif coeff == -1:
                 bits.append("-" + mono)
+            elif isinstance(coeff, SparseTerms) and len(coeff.terms) > 1:
+                bits.append(f"({text})*{mono}")
             else:
                 bits.append(f"{text}*{mono}")
         return " + ".join(bits).replace("+ -", "- ") or "0"
 
+    def __repr__(self):
+        order = sorted(self.terms)
+        return self._text(order, [f"x{i}" for i in range(len(order[0]))] if order else ())
+
     def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("exponent must be a nonnegative integer")
+        _refuse_non_int("power", (k,))
+        if k < 0:
+            raise ValueError("power must be nonnegative")
         result = self._scalar(_ONE)
         base = self
         while k:

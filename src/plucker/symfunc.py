@@ -20,8 +20,7 @@ from functools import cache
 from itertools import permutations
 from math import factorial, lcm, prod
 
-from .exact import (LaurentPoly, _corank, _refuse_non_int, _tadd, det, exponent_vectors, perm_sign,
-                    vandermonde_at)
+from .exact import LaurentPoly, _corank, _tadd, det, exponent_vectors, perm_sign, vandermonde_at
 
 # random rational points of gen_cauchy_check have numerators in
 # [-SAMPLE_HEIGHT, SAMPLE_HEIGHT] and denominators in [1, SAMPLE_HEIGHT]
@@ -281,7 +280,6 @@ def gen_cauchy_check(r: int, d: int, trials: int = 100, seed: int = 0) -> bool:
     denominators) are resampled, never evaluated.  Each point is checked
     with its denominators cleared, on ints: equality is exact.
     """
-    _refuse_non_int("rank", (r,))
     _corank(d, r)
     if trials < 1:
         raise ValueError(f"trials: need at least 1, got {trials}")

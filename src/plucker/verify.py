@@ -21,6 +21,7 @@ from .chow import BundleModel, FlagRing, formal_segre, point, projective_space
 from .degree import fiber_degree_hook, plucker_degree
 from .exact import LaurentPoly, exact_str, exponent_vectors, monomial_text, perm_sign
 from .pushforward import (
+    ALL_METHODS,
     DISPLAYED,
     PROOF,
     ch_pushforward_closed,
@@ -100,6 +101,15 @@ def _first_difference(name_a, a, name_b, b) -> str:
     return f"{name_a} and {name_b} differ at {mono}: {coeff_a} vs {coeff_b}"
 
 
+def route_disagreement(series) -> str:
+    """The first difference from ``closed`` of the routes in a map from
+    each name of ``ALL_METHODS`` to its push-forward, taken in that
+    order, or ``""`` when all routes agree."""
+    closed = series["closed"]
+    details = (_first_difference("closed", closed, m, series[m]) for m in ALL_METHODS[1:])
+    return next(filter(None, details), "")
+
+
 def _first_failure(key, failures) -> CaseResult:
     """The case ``key``: failed with the first detail that the generator
     ``failures`` yields, else passed.  The generator is not resumed after
@@ -115,13 +125,14 @@ def check_fourway(bundle, d: int) -> CaseResult:
     closed route's homogeneous components from there on."""
     key = f"agreement r={bundle.rank} d={d} {bundle.label}"
     closed = ch_pushforward_closed(bundle, d, PROOF)
-    schur = ch_pushforward_schur(bundle, d)
-    constterm = ch_pushforward_constterm(bundle, d)
-    oracle = ch_pushforward_oracle(bundle, d)
-    for name, other in (("schur", schur), ("constterm", constterm), ("oracle", oracle)):
-        detail = _first_difference("closed", closed, name, other)
-        if detail:
-            return CaseResult(key, False, detail)
+    detail = route_disagreement({
+        "closed": closed,
+        "schur": ch_pushforward_schur(bundle, d),
+        "constterm": ch_pushforward_constterm(bundle, d),
+        "oracle": ch_pushforward_oracle(bundle, d),
+    })
+    if detail:
+        return CaseResult(key, False, detail)
     ring = FlagRing(bundle, d)
     rel = d * (bundle.rank - d)
     for N in range(rel):

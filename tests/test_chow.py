@@ -242,6 +242,15 @@ class TestFlagRing:
         )
         assert xi1 * xi1 == expected
 
+    def test_repr_signs_and_parentheses(self, fm3):
+        # coefficients -1 once printed as "+ -1*x0*x1", and 1 as "1*x0"
+        ring = FlagRing(BundleModel.formal(fm3, 3), 2)
+        x0, x1 = ring.xi(0), ring.xi(1)
+        assert repr(x1 * x1) == "-s1^2 + s2 + s1*x1 + s1*x0 - x0*x1 - x0^2"
+        s1, s2 = fm3.segre_generator(1), fm3.segre_generator(2)
+        assert repr(x0 * (s1 - s2) + x0 * x1) == "(s1 - s2)*x0 + x0*x1"
+        assert repr(ring.zero()) == "0"
+
     def test_pushforward_picks_top_monomial(self, fm3):
         E = BundleModel.formal(fm3, 4)
         ring = FlagRing(E, 2)
@@ -403,6 +412,33 @@ def flag_rings(draw):
     bundle = _bundle(kind, rank, lambda lo, hi: draw(st.integers(lo, hi)))
     d = draw(st.integers(min_value=1, max_value=bundle.rank))
     return FlagRing(bundle, d)
+
+
+@given(flag_rings())
+@settings(max_examples=60, deadline=None)
+def test_relations_hold_the_kernel_chern_classes(ring):
+    """Read the level-l relation x_l^(rank-l) = sum_{j>=1} (-1)^(j+1)
+    c_j(K_l) x_l^(rank-l-j) back as c(K_l), a polynomial in x_0..x_{l-1}
+    and u: c(K_l) * prod_{i<l} (1 + x_i u) is c(E) in every u-degree up
+    to rank - l, as the Whitney formula c(E) = c(K_l) prod_{i<l} (1 + x_i)
+    requires."""
+    bundle, rank = ring.bundle, ring.bundle.rank
+    model = bundle.base
+    for l in range(ring.d):
+        kernel = {(0,) * l + (0,): model.one()}
+        for exps, coeff in ring._xi_basis[(l, (0,) * l)].items():
+            assert not any(exps[l + 1 :])
+            j = rank - l - exps[l]
+            value = GradedElement(model, coeff)
+            kernel[exps[:l] + (j,)] = value if j % 2 else -value
+        product = LaurentPoly(l + 1, kernel)
+        for i in range(l):
+            factor = {(0,) * (l + 1): model.one()}
+            factor[(0,) * i + (1,) + (0,) * (l - i - 1) + (1,)] = model.one()
+            product = product * LaurentPoly(l + 1, factor)
+        low = {e: c for e, c in product.terms.items() if e[l] <= rank - l}
+        chern = {(0,) * l + (k,): bundle.chern_class(k) for k in range(rank - l + 1)}
+        assert LaurentPoly(l + 1, low) == LaurentPoly(l + 1, chern), l
 
 
 def _monomials(draw, ring, count):

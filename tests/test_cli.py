@@ -1,11 +1,13 @@
 import contextlib
 import io
 import json
+import os
 import re
 import subprocess
 import sys
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -93,14 +95,16 @@ class TestChernPushforwardCommand:
 
     def test_displayed_variant_breaks_agreement(self, capsys):
         # the off-by-one denominator puts the closed column out of line
-        # with the other three, which the command reports as a failure
-        code, out, _ = run_cli(
+        # with the other three, which the command reports as a failure,
+        # naming on stderr the first route that differs and where
+        code, out, err = run_cli(
             capsys,
             "chern-pushforward", "--base", "point", "--rank", "4", "-d", "2",
             "--denominator", "displayed",
         )
         assert code == 1
         assert "methods agree: NO" in out
+        assert err == "closed and schur differ at 1: 1/144 vs 1/12\n"
 
     def test_json_disagreement_exits_1(self, capsys):
         # the verdict does not depend on the format: beside JSON it goes
@@ -114,7 +118,7 @@ class TestChernPushforwardCommand:
         assert [doc["method"] for doc in json.loads(out)] == [
             "closed", "schur", "constterm", "oracle",
         ]
-        assert err == "methods agree: NO\n"
+        assert err == "methods agree: NO\nclosed and schur differ at 1: 1/144 vs 1/12\n"
 
     def test_two_family_formal_base(self, capsys):
         code, out, _ = run_cli(
@@ -300,7 +304,15 @@ class TestConfigFile:
             "degree", "--base", "P2", "--rank", "2", "--segre", "1,2", "-d", "1",
         )
         assert code == 2
-        assert "bundle.segre" in err
+        assert err == "config error: bundle.segre: need s_0..s_2, got 2 classes\n"
+
+    def test_segre_s0_checked(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            "degree", "--base", "P2", "--rank", "3", "--segre", "2,1,1", "-d", "1",
+        )
+        assert (code, out) == (2, "")
+        assert err == "config error: bundle.segre: s_0 must be 1\n"
 
     def test_conflicting_bundle_specs(self, capsys):
         code, _, err = run_cli(
@@ -471,12 +483,18 @@ class TestDeterminism:
 
 
 def test_console_entry_point_installed():
+    # the subprocess does not see pytest's pythonpath setting, so it gets
+    # src on PYTHONPATH, as the demos do
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "plucker.cli",
          "degree", "--base", "point", "--rank", "4", "-d", "2"],
         capture_output=True,
         text=True,
         timeout=120,
+        env=env,
     )
     assert proc.returncode == 0
     assert "degree = 2" in proc.stdout

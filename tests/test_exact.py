@@ -258,6 +258,13 @@ class TestLaurentRepr:
         f = LaurentPoly(1, {(1,): h * 2, (0,): h + 1})
         assert repr(f) == "2*h*t0 + 1 + h"
 
+    def test_coefficient_of_several_terms_is_parenthesized(self):
+        # printed without parentheses, this once read as a different polynomial
+        from plucker.chow import BundleModel, formal_segre
+
+        table = BundleModel.formal(formal_segre(3), 2).segre_table(1)
+        assert repr(table) == "(-s1^3 + 2*s1*s2)*t0^3 + s2*t0^2 + s1*t0 + 1"
+
 
 class TestVariableMaps:
     def test_permute_variables(self):

@@ -315,6 +315,27 @@ def test_every_rank_entry_refuses_a_non_int_rank(entry, r):
         entry(r)
 
 
+# every power taken on a formal_segre(3), rank-4, d=2 flag ring
+POWER_ENTRIES = {
+    "graded": lambda ring, k: ring.bundle.base.generator(0) ** k,
+    "laurent": lambda ring, k: LaurentPoly.variable(2, 0) ** k,
+    "flag": lambda ring, k: ring.xi(0) ** k,
+    "theta": lambda ring, k: ring.pushforward_theta_power(k),
+}
+
+
+@pytest.mark.parametrize("k", [True, 2.0, Fraction(2)])
+@pytest.mark.parametrize("entry", POWER_ENTRIES.values(), ids=POWER_ENTRIES)
+def test_every_power_refuses_a_non_int_power(entry, k):
+    # True once gave the first power, 2.0 raised ValueError and, as the
+    # theta power, failed as a list index
+    ring = FlagRing(BundleModel.formal(formal_segre(3), 4), 2)
+    with pytest.raises(TypeError, match=re.escape(f"power: {k!r} is not an int")):
+        entry(ring, k)
+    with pytest.raises(ValueError, match="power must be nonnegative"):
+        entry(ring, -1)
+
+
 @pytest.mark.parametrize("d", [0, 4])
 def test_tower_refuses_a_monomial_of_corank_outside_one_to_rank(d):
     with pytest.raises(ValueError, match=r"d=.* rank="):
