@@ -30,7 +30,10 @@ x_0^{i_0} ... x_{d-1}^{i_{d-1}}, 0 <= i_l <= rank-l-1, where push-forward
 is coefficient extraction on the top basis monomial: a brute-force
 reference for the tower at small shapes, and the oracle of the
 verification's monomial grid.  Its relations are written in normal form
-from the closed form of c(K_l) = c(E) / prod_{j<l} (1 + x_j).  Both
+from the closed form of c(K_l) = c(E) / prod_{j<l} (1 + x_j), and the
+normal forms it reads at the bounds of the x_l depend on the bundle
+alone, so they are kept in one table on the bundle that the flag rings
+of every corank share.  Both
 push-downs share one degree argument: a term of x-degree k and base
 degree b is zero once k + b passes n plus the fibre dimensions still to
 be pushed down, so the tower drops it at each level and a normal form
@@ -247,7 +250,7 @@ class GradedElement(SparseTerms):
             if isinstance(other, (int, Fraction)):
                 if not other:
                     return self.model.zero()
-                return self._new({e: c * other for e, c in self.terms.items()})
+                return self._new({e: _reduced(c * other) for e, c in self.terms.items()})
             return NotImplemented
         model = self.model
         if other.model is not model and other.model != model:
@@ -389,13 +392,17 @@ class BundleModel:
     s(t) c(-t) = 1, and rank consistency (c_i = 0 for i > rank) is
     enforced, since every formula here silently assumes it.
 
-    Immutable after construction apart from one idempotent cache: the
-    Segre power tables of :meth:`segre_table`, one per number of
-    variables, filled on first use.  A table depends only on the Segre
-    classes and the number of variables, so every caller may share it.
+    Immutable after construction apart from two idempotent caches, both
+    filled on first use.  The first is the Segre power tables of
+    :meth:`segre_table`, one per number of variables; a table depends
+    only on the Segre classes and the number of variables, so every
+    caller may share it.  The second is the flag-ring relation table,
+    the normal forms at the bounds (see :meth:`FlagRing._xi_entry`); an
+    entry depends only on the rank and the Chern classes, so the flag
+    rings of every corank share it.
     """
 
-    __slots__ = ("base", "rank", "segre", "chern", "label", "_segre_tables")
+    __slots__ = ("base", "rank", "segre", "chern", "label", "_segre_tables", "_flag_table")
 
     def __init__(self, base, rank, segre, chern, label=None):
         self.base = base
@@ -405,6 +412,9 @@ class BundleModel:
         self.label = label or f"rank-{rank} bundle over {base!r}"
         # d -> segre_table(d)
         self._segre_tables = {}
+        # (l, exponents of x_0..x_{l-1}) -> normal form of that monomial
+        # times x_l^(rank - l), keyed by the exponents of x_0..x_l
+        self._flag_table = {}
 
     @classmethod
     def from_segre(cls, base, rank, segre, label=None):
@@ -654,21 +664,26 @@ class FlagRing:
     from one step, multiplying a basis monomial by some x_l: below the
     bound of x_l that is an exponent shift, and at the bound it reads a
     table entry (see :meth:`_xi_entry`), filled on first use.  The
-    level-l relation never
-    involves x_{l+1} and above, so an entry is keyed by l and the
-    exponents of x_0..x_{l-1} alone, and the step carries the monomial's
-    higher exponents onto the entry's keys.  The level-l relations are
-    the table's first entries, built at construction.
+    level-l relation never involves x_{l+1} and above, so an entry is
+    keyed by l and the exponents of x_0..x_{l-1}, its own keys are
+    exponents of x_0..x_l, and the step appends the monomial's higher
+    exponents to them.  Nothing in an entry depends on d, so the table
+    is the bundle's, shared by the rings of every corank: a ring writes
+    the level-l relations, the table's first entries, at construction
+    unless a ring before it has.
 
     Coefficients are raw base term maps, and one term map may sit in
     several table entries and chain steps, so none is changed once
-    stored.  Instances are immutable apart from these caches.
+    stored.  Instances are immutable apart from the shared table and the
+    ring's own theta chain.
 
     Every basis monomial has degree at most sum(bounds), so a normal form
     only keeps a term x^e c whose base degree is at most
     sum(bounds) + n - |e|; :meth:`_normalize` drops the rest before it
     takes a step, and fills no table entry for a monomial with nothing
-    left.
+    left.  The budget only decides which entries get filled, never what
+    an entry holds, so a table filled by rings of other coranks stays
+    exact.
     """
 
     __slots__ = ("bundle", "d", "bounds", "_xi_basis", "_theta_chain")
@@ -679,22 +694,23 @@ class FlagRing:
         self.bundle = bundle
         self.d = d
         self.bounds = tuple(rank - l - 1 for l in range(d))
-        # (l, exponents of x_0..x_{l-1}) -> normal form of that monomial times x_l^(bound_l + 1)
-        self._xi_basis = {}
+        # the bundle's table, shared by the rings of every corank
+        self._xi_basis = table = bundle._flag_table
         chern = [c.terms for c in bundle.chern]
         negated = [{e: -c for e, c in terms.items()} for terms in chern]
         for l in range(d):
+            if (l, (0,) * l) in table:
+                continue
             # rule: x_l^(rank-l) = sum_{j>=1} (-1)^(j+1) c_j(K_l) x_l^(rank-l-j), with
             # c_j(K_l) = sum_a (-1)^|a| x^a c_{j-|a|}(E) over exponents a of x_0..x_{l-1}
             rule = {}
-            tail = (0,) * (d - l - 1)
             for a in exponent_vectors(l, max_total=rank - l):
                 size = sum(a)
                 for j in range(max(size, 1), rank - l + 1):
                     if chern[j - size]:
-                        table = chern if (j + size) % 2 else negated
-                        rule[a + (rank - l - j,) + tail] = table[j - size]
-            self._xi_basis[(l, (0,) * l)] = rule
+                        signed = chern if (j + size) % 2 else negated
+                        rule[a + (rank - l - j,)] = signed[j - size]
+            table[(l, (0,) * l)] = rule
         self._theta_chain = None
 
     # -- normal forms ----------------------------------------------------
@@ -702,8 +718,10 @@ class FlagRing:
     def _xi_entry(self, l, lower):
         """Normal form of x_0^e_0 ... x_{l-1}^e_{l-1} x_l^(bound_l + 1) for
         ``lower`` = (e_0, ..., e_{l-1}) within the bounds, cached under
-        ``(l, lower)``.  Its monomials have no x above x_l, because the
-        level-l relation and those below it involve none.
+        ``(l, lower)`` in the bundle's table.  Its keys are the exponents
+        of x_0..x_l alone, because the level-l relation and those below
+        it involve no higher x, so the entry is the same for every
+        corank.
 
         With ``lower`` all zero the entry is the level-l rule.  Otherwise
         it is the entry of ``lower`` with its lowest nonzero exponent e_j
@@ -725,7 +743,7 @@ class FlagRing:
         shifted coefficient that nothing else lands on is kept as the
         same object.  At the bound the product reads the table entry of
         the monomial's exponents below x_l, and its exponents above x_l
-        are carried onto the entry's keys.  Every other coefficient is a
+        are appended to the entry's keys.  Every other coefficient is a
         term map of the result's own, listed in ``owned``: accumulated
         raw, through the base model's fused product, and pruned once at
         the end."""
@@ -748,8 +766,8 @@ class FlagRing:
                     continue
                 entry = self._xi_entry(l, exps[:l]).items()
                 upper = exps[l + 1 :]
-                if any(upper):
-                    entry = [(rexps[: l + 1] + upper, rcoeff) for rexps, rcoeff in entry]
+                if upper:
+                    entry = [(rexps + upper, rcoeff) for rexps, rcoeff in entry]
                 for rexps, rcoeff in entry:
                     have = out.get(rexps)
                     if rexps not in owned:

@@ -7,7 +7,9 @@ this process, and results are ordered by case key for reproducible
 output.  The oracle route pushes down the projective-bundle tower; each
 agreement case also builds one flag ring, the reference for the theta
 powers' structural checks, and each monomial-grid case builds one whose
-normal form is the monomial oracle.
+normal form is the monomial oracle.  The monomial grid builds one formal
+bundle per rank, so that the flag rings of its coranks share the
+bundle's relation table.
 """
 
 from __future__ import annotations
@@ -169,12 +171,13 @@ def run_monomial_grid(
     seed: int = 2024,
 ):
     """Triple agreement (constant term, determinant, oracle) for random
-    monomial push-forwards, per (r, d) on the formal model."""
+    monomial push-forwards, per (r, d) on the formal model: one bundle
+    per rank, alive only while that rank's cases run."""
 
-    def one_case(rank, d):
+    def one_case(bundle, d):
+        rank = bundle.rank
         key = f"monomials r={rank} d={d}"
         rng = random.Random(seed * 10007 + rank * 101 + d)
-        bundle = BundleModel.formal(formal_segre(truncation), rank)
         ring = FlagRing(bundle, d)
         for _ in range(trials):
             p = tuple(rng.randint(0, rank + 2) for _ in range(d))
@@ -188,9 +191,11 @@ def run_monomial_grid(
                 return CaseResult(key, False, f"p={p}: {detail}")
         return CaseResult(key, True)
 
-    results = [
-        one_case(rank, d) for rank in range(1, max_rank + 1) for d in range(1, rank + 1)
-    ]
+    base = formal_segre(truncation)
+    results = []
+    for rank in range(1, max_rank + 1):
+        bundle = BundleModel.formal(base, rank)
+        results.extend(one_case(bundle, d) for d in range(1, rank + 1))
     return sorted(results, key=lambda res: res.key)
 
 

@@ -64,6 +64,17 @@ class TestGradedElement:
         assert p2.scalar(Fraction(1, 2)).terms == {(0,): Fraction(1, 2)}
         assert not p2.scalar(0)
 
+    def test_fraction_scalar_product_keeps_ints(self, p2):
+        """A product by a ``Fraction`` scalar stores an integral coefficient
+        as an int, as ``scalar`` does."""
+        h = p2.hyperplane()
+        doubled = h * Fraction(2)
+        assert doubled.terms == {(1,): 2} and type(doubled.terms[(1,)]) is int
+        halved = Fraction(1, 2) * h
+        assert halved.terms == {(1,): Fraction(1, 2)}
+        assert type((halved * Fraction(4)).terms[(1,)]) is int
+        assert type((halved * 2).terms[(1,)]) is int
+
     def test_component_and_degrees(self, p2):
         h = p2.hyperplane()
         mixed = h * 2 + p2.one() * 7
@@ -501,25 +512,57 @@ def test_exponents_above_a_level_are_carried_onto_its_entry(data):
     assert got.pushforward() == tower_pushforward(bundle, total)
 
 
+def _fresh_copy(bundle):
+    """The same bundle as a new object, whose flag-ring table is empty."""
+    return BundleModel(bundle.base, bundle.rank, bundle.segre, bundle.chern)
+
+
 @pytest.mark.parametrize("kind", BUNDLE_KINDS)
 def test_xi_table_is_keyed_by_level_and_lower_exponents(kind):
     """Every ``_xi_basis`` key is (l, exponents of x_0..x_{l-1}), and its
     entry is the normal form of those exponents times x_l^(bound_l + 1),
-    with no x above x_l."""
+    keyed by the exponents of x_0..x_l alone."""
     bundle = _bundle(kind, 5, random.Random(3).randint)
     ring = FlagRing(bundle, 3)
     ring.pushforward_theta_power(sum(ring.bounds) + bundle.base.n)
     for e in [(6, 0, 0), (0, 5, 3), (4, 4, 4), (7, 1, 2)]:
         ring.from_terms({e: 1})
-    fresh = FlagRing(bundle, 3)
+    fresh = FlagRing(_fresh_copy(bundle), 3)
     assert len(ring._xi_basis) > ring.d
     for (l, lower), entry in ring._xi_basis.items():
         assert type(lower) is tuple and len(lower) == l
         assert all(0 <= e <= bound for e, bound in zip(lower, ring.bounds))
-        assert all(not any(exps[l + 1 :]) for exps in entry)
-        exps = lower + (ring.bounds[l] + 1,) + (0,) * (ring.d - l - 1)
-        stored = {e: GradedElement(bundle.base, c) for e, c in entry.items()}
+        assert all(len(exps) == l + 1 for exps in entry)
+        tail = (0,) * (ring.d - l - 1)
+        exps = lower + (ring.bounds[l] + 1,) + tail
+        stored = {e + tail: GradedElement(bundle.base, c) for e, c in entry.items()}
         assert fresh.from_terms(stored) == fresh.from_terms({exps: 1}), (l, lower)
+
+
+@given(st.data())
+@settings(max_examples=30, deadline=None)
+def test_rings_of_every_corank_share_the_bundle_table(data):
+    """Flag rings of several coranks over one bundle, built and used in a
+    drawn order, read and fill the bundle's one table.  Each gives the
+    normal forms and theta push-forwards of a ring over a fresh copy of
+    the bundle, and no entry stored before a ring's work changes."""
+    kind = data.draw(st.sampled_from(BUNDLE_KINDS))
+    rank = data.draw(st.integers(min_value=2, max_value=5))
+    bundle = _bundle(kind, rank, lambda lo, hi: data.draw(st.integers(lo, hi)))
+    coranks = data.draw(
+        st.lists(st.integers(1, bundle.rank), min_size=2, max_size=4, unique=True)
+    )
+    for d in coranks:
+        before = copy.deepcopy(bundle._flag_table)
+        ring = FlagRing(bundle, d)
+        assert ring._xi_basis is bundle._flag_table
+        fresh = FlagRing(_fresh_copy(bundle), d)
+        for e in _monomials(data.draw, ring, 2):
+            assert ring.from_terms({e: 1}).terms == fresh.from_terms({e: 1}).terms, e
+        N = data.draw(st.integers(0, sum(ring.bounds) + bundle.base.n))
+        assert ring.pushforward_theta_power(N) == fresh.pushforward_theta_power(N)
+        for key, entry in before.items():
+            assert bundle._flag_table[key] == entry, key
 
 
 def _coefficients(term_map):
@@ -610,7 +653,7 @@ def test_monomial_past_the_budget_is_skipped(kind):
             assert ring.from_terms(terms) == 0
             assert len(ring._xi_basis) == entries
             assert _snapshot(terms) == before
-            reference = FlagRing(bundle, d)
+            reference = FlagRing(_fresh_copy(bundle), d)
             assert _reference_normal_form(reference, terms) == 0
             if d > 1:
                 assert len(reference._xi_basis) > entries
@@ -664,8 +707,9 @@ def test_shared_coefficients_are_never_mutated(kind):
     for step, entry in enumerate(chain_before):
         assert ring._theta_chain[step] == entry, step
     assert maps == inputs
-    fresh = FlagRing(bundle, 3)
-    assert [fresh.from_terms(terms) for terms in reversed(maps)] == results[::-1]
+    fresh = FlagRing(_fresh_copy(bundle), 3)
+    got = [fresh.from_terms(terms).terms for terms in reversed(maps)]
+    assert got == [result.terms for result in reversed(results)]
     for N in range(len(ring._theta_chain)):
         assert fresh.pushforward_theta_power(N) == ring.pushforward_theta_power(N)
 
@@ -674,18 +718,21 @@ def test_shared_coefficients_are_never_mutated(kind):
 def test_ring_tables_hold_pruned_plain_maps(kind):
     """Every xi-table entry and theta-chain step maps exponent tuples to
     non-empty plain dicts with no zero coefficient: shared term maps are
-    never pruned again, so each must be pruned when stored."""
+    never pruned again, so each must be pruned when stored.  The keys of
+    the level-l entries are exponents of x_0..x_l, those of a chain step
+    of all d variables."""
     bundle = _bundle(kind, 5, random.Random(11).randint)
     ring = FlagRing(bundle, 3)
     ring.pushforward_theta_power(sum(ring.bounds) + bundle.base.n)
     one = bundle.base.one()
     for e in [(6, 0, 0), (0, 5, 3), (4, 4, 4), (7, 1, 2)]:
         ring.from_terms({e: one, (1, 1, 0): 2})
-    tables = list(ring._xi_basis.values()) + ring._theta_chain
+    tables = [(l + 1, entry) for (l, _), entry in ring._xi_basis.items()]
+    tables += [(ring.d, step) for step in ring._theta_chain]
     assert len(ring._xi_basis) > 3 and len(ring._theta_chain) > 1
-    for table in tables:
+    for size, table in tables:
         for exps, coeff in table.items():
-            assert type(exps) is tuple and len(exps) == 3
+            assert type(exps) is tuple and len(exps) == size
             assert type(coeff) is dict and coeff, (exps, coeff)
             assert all(coeff.values()), (exps, coeff)
 

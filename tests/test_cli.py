@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from plucker.chow import BundleModel, projective_space
-from plucker.cli import main
+from plucker.cli import build_bundle, main
 from plucker.degree import plucker_degree
 
 
@@ -43,6 +43,16 @@ class TestDegreeCommand:
         )
         assert code_a == code_b == 0
         assert out_a.splitlines()[-1] == out_b.splitlines()[-1]
+
+    def test_segre_bundle_carries_int_coefficients(self):
+        """``--segre 1,2,3`` is read as Fractions, yet the bundle holds the
+        plain-int classes of the roots (1, 1, 0)."""
+        base = projective_space(2)
+        bundle = build_bundle(base, {"bundle.rank": "3", "bundle.segre": "1,2,3"})
+        roots = BundleModel.from_chern_roots(base, [1, 1, 0])
+        classes = bundle.segre + bundle.chern
+        assert [c.terms for c in classes] == [c.terms for c in roots.segre + roots.chern]
+        assert all(type(v) is int for c in classes for v in c.terms.values())
 
     def test_displayed_variant_warns_non_integer(self, capsys):
         code, out, _ = run_cli(
