@@ -41,8 +41,9 @@ never computes it.
 :meth:`FlagRing.from_terms` is the one way an element is built from
 outside the ring, through ``FlagRingElement(ring, terms)`` too, so every
 element is in normal form.  A monomial x^p is refused unless p is d
-nonnegative ints, and a corank unless it is an int with 1 <= d <= rank,
-by one rule each, wherever one is taken.
+nonnegative ints, a corank unless it is an int with 1 <= d <= rank, a
+scalar unless it is an int or a ``Fraction``, and an index unless it is
+an int in range, by one rule each, wherever one is taken.
 
 Coefficients are exact: Python ints wherever they are integral (every
 formal and split bundle), ``Fraction`` only where the input brings a
@@ -56,7 +57,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .exact import (
-    LaurentPoly, SparseTerms, _corank, _refuse_float, _refuse_non_int, _tadd, exponent_vectors,
+    LaurentPoly, SparseTerms, _corank, _exact_scalar, _refuse_float, _refuse_non_int, _tadd,
+    _unit_vector, exponent_vectors,
 )
 
 _ZERO = 0
@@ -115,18 +117,11 @@ class BaseModel:
     def scalar(self, value) -> "GradedElement":
         """The constant ``value``, an ``int`` or a ``Fraction``; a float
         (or a bool) is refused with ``TypeError``."""
-        if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
-            raise TypeError(f"scalar {value!r} is not an int or a Fraction")
-        if isinstance(value, Fraction) and value.denominator == 1:
-            value = value.numerator
-        if not value:
-            return GradedElement(self, {})
-        return GradedElement(self, {(0,) * len(self.gen_names): value})
+        value = _reduced(_exact_scalar(value))
+        return _graded(self, {(0,) * len(self.gen_names): value} if value else {})
 
     def generator(self, index: int) -> "GradedElement":
-        exps = [0] * len(self.gen_names)
-        exps[index] = 1
-        return GradedElement(self, {tuple(exps): _ONE})
+        return GradedElement(self, {_unit_vector(index, len(self.gen_names)): _ONE})
 
     def hyperplane(self) -> "GradedElement":
         if self.kind != PROJECTIVE:
@@ -142,6 +137,10 @@ class BaseModel:
         if not 0 <= family < self.families:
             raise ValueError(f"family {family} out of range")
         return self.generator(family * self.n + (i - 1))
+
+    def _repr_key(self, exps):
+        """Print order of terms: by degree, then by exponents descending."""
+        return self._degree(exps), tuple(-x for x in exps)
 
     def _degree(self, exps) -> int:
         memo = self._deg_memo
@@ -203,6 +202,16 @@ def formal_segre(n: int = 3, families: int = 1) -> BaseModel:
     return BaseModel(FORMAL, n, families, names, degrees)
 
 
+def _monomial(kind, p, length):
+    """``p`` as a tuple of ``length`` nonnegative int exponents of a
+    monomial of ``kind`` ("base" or "flag-ring")."""
+    p = tuple(p)
+    _refuse_non_int(f"{kind} exponent", p)
+    if len(p) != length or any(e < 0 for e in p):
+        raise ValueError(f"{kind} monomial {p} needs {length} nonnegative exponents")
+    return p
+
+
 class GradedElement(SparseTerms):
     """Element of a truncated graded base ring, sparse over monomials in
     the model generators.  Components above the truncation degree are
@@ -220,12 +229,7 @@ class GradedElement(SparseTerms):
             ngens = len(model.gen_names)
             for exps, coeff in terms.items():
                 _refuse_float(coeff)
-                exps = tuple(exps)
-                _refuse_non_int("exponent", exps)
-                if len(exps) != ngens or any(e < 0 for e in exps):
-                    raise ValueError(
-                        f"exponent vector {exps} needs {ngens} nonnegative entries"
-                    )
+                exps = _monomial("base", exps, ngens)
                 if coeff and model._degree(exps) <= n:
                     clean[exps] = coeff
         self.terms = clean
@@ -247,11 +251,11 @@ class GradedElement(SparseTerms):
 
     def __mul__(self, other):
         if not isinstance(other, GradedElement):
-            if isinstance(other, (int, Fraction)):
-                if not other:
-                    return self.model.zero()
-                return self._new({e: _reduced(c * other) for e, c in self.terms.items()})
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            if not _exact_scalar(other):
+                return self.model.zero()
+            return self._new({e: _reduced(c * other) for e, c in self.terms.items()})
         model = self.model
         if other.model is not model and other.model != model:
             raise ValueError("elements live over different base models")
@@ -279,8 +283,7 @@ class GradedElement(SparseTerms):
 
     def __repr__(self):
         model = self.model
-        order = sorted(self.terms, key=lambda e: (model._degree(e), tuple(-x for x in e)))
-        return self._text(order, model.gen_names)
+        return self._text(sorted(self.terms, key=model._repr_key), model.gen_names)
 
 
 def _graded(model, terms):
@@ -358,7 +361,7 @@ def _invert_unit_series(coeffs, n):
 def segre_from_chern(chern, rank: int, n: int):
     """Segre classes s_0..s_n from Chern classes, via s(t) c(-t) = 1."""
     if not chern or chern[0] != 1:
-        raise ValueError("chern[0] must be 1")
+        raise ValueError("c_0 must be 1")
     if len(chern) > rank + 1:
         raise ValueError(f"got {len(chern) - 1} Chern classes for rank {rank}")
     model = chern[0].model
@@ -371,17 +374,29 @@ def segre_from_chern(chern, rank: int, n: int):
 def chern_from_segre(segre, n: int):
     """Chern classes c_0..c_n from Segre classes (inverse of the above)."""
     if not segre or segre[0] != 1:
-        raise ValueError("segre[0] must be 1")
+        raise ValueError("s_0 must be 1")
     signed = _invert_unit_series(list(segre), n)
     return [c if i % 2 == 0 else -c for i, c in enumerate(signed)]
 
 
 def _integer_root(a) -> int:
-    if isinstance(a, Fraction) and a.denominator == 1:
-        return a.numerator
+    a = _reduced(a) if isinstance(a, Fraction) else a
     if not isinstance(a, int):
         raise ValueError(f"chern root {a!r} is not an integer")
     return a
+
+
+def _bundle_classes(rank, classes, name):
+    """``classes`` as a list, after refusing a rank that is not a positive
+    int and a class ``name``_i that is not homogeneous of degree i."""
+    _refuse_non_int("rank", (rank,))
+    if rank < 1:
+        raise ValueError("rank must be positive")
+    classes = list(classes)
+    for i, c in enumerate(classes):
+        if c and c.homogeneous_degree() not in (None, i):
+            raise ValueError(f"{name}_{i} is not homogeneous of degree {i}")
+    return classes
 
 
 class BundleModel:
@@ -418,17 +433,9 @@ class BundleModel:
 
     @classmethod
     def from_segre(cls, base, rank, segre, label=None):
-        _refuse_non_int("rank", (rank,))
-        if rank < 1:
-            raise ValueError("rank must be positive")
-        segre = list(segre)
+        segre = _bundle_classes(rank, segre, "s")
         if len(segre) != base.n + 1:
             raise ValueError(f"need s_0..s_{base.n}, got {len(segre)} classes")
-        if segre[0] != 1:
-            raise ValueError("s_0 must be 1")
-        for i, s in enumerate(segre):
-            if s and s.homogeneous_degree() not in (None, i):
-                raise ValueError(f"s_{i} is not homogeneous of degree {i}")
         chern = chern_from_segre(segre, base.n)
         for i in range(rank + 1, base.n + 1):
             if chern[i]:
@@ -437,20 +444,13 @@ class BundleModel:
                     f"derived c_{i} = {chern[i]!r} is nonzero"
                 )
         chern = chern[: rank + 1] + [base.zero()] * max(0, rank - base.n)
-        return cls(base, rank, segre, chern[: rank + 1], label=label)
+        return cls(base, rank, segre, chern, label=label)
 
     @classmethod
     def from_chern(cls, base, rank, chern, label=None):
-        _refuse_non_int("rank", (rank,))
-        if rank < 1:
-            raise ValueError("rank must be positive")
-        chern = list(chern)
-        for i, c in enumerate(chern):
-            if c and c.homogeneous_degree() not in (None, i):
-                raise ValueError(f"c_{i} is not homogeneous of degree {i}")
+        chern = _bundle_classes(rank, chern, "c")
         segre = segre_from_chern(chern, rank, base.n)
-        while len(chern) <= rank:
-            chern.append(base.zero())
+        chern += [base.zero()] * (rank + 1 - len(chern))
         chern = [c if i <= base.n else base.zero() for i, c in enumerate(chern)]
         return cls(base, rank, segre, chern, label=label)
 
@@ -555,7 +555,7 @@ def tower_pushforward(bundle: BundleModel, p, exponential: bool = False) -> Grad
     p = tuple(p)
     rank, d = bundle.rank, len(p)
     _corank(d, rank)
-    _flag_monomial(p, d)
+    _monomial("flag-ring", p, d)
     model = bundle.base
     n = model.n
     mul_into, degree = model._mul_into, model._degree
@@ -638,15 +638,6 @@ def tower_pushforward(bundle: BundleModel, p, exponential: bool = False) -> Grad
 def _reduced(value: Fraction):
     """``value`` as an int when it is integral."""
     return value.numerator if value.denominator == 1 else value
-
-
-def _flag_monomial(p, d):
-    """``p`` as a tuple of d nonnegative int exponents of x_0..x_{d-1}."""
-    p = tuple(p)
-    _refuse_non_int("flag-ring exponent", p)
-    if len(p) != d or any(e < 0 for e in p):
-        raise ValueError(f"flag-ring monomial {p} needs {d} nonnegative exponents")
-    return p
 
 
 class FlagRing:
@@ -820,18 +811,13 @@ class FlagRing:
     def scalar(self, value) -> "FlagRingElement":
         return self.from_terms({(0,) * self.d: value})
 
-    def _unit(self, l):
-        return (0,) * l + (1,) + (0,) * (self.d - l - 1)
-
     def xi(self, l: int) -> "FlagRingElement":
         """The hyperplane generator x_l of the l-th projective-bundle step."""
-        if not 0 <= l < self.d:
-            raise ValueError(f"index {l} out of range 0..{self.d - 1}")
-        return self.from_terms({self._unit(l): _ONE})
+        return self.from_terms({_unit_vector(l, self.d): _ONE})
 
     def theta(self) -> "FlagRingElement":
         """Pull-back of the Pluecker class: x_0 + ... + x_{d-1}."""
-        return self.from_terms({self._unit(l): _ONE for l in range(self.d)})
+        return self.from_terms({_unit_vector(l, self.d): _ONE for l in range(self.d)})
 
     def from_terms(self, terms) -> "FlagRingElement":
         """Normal form of a map from exponent tuples, any of them at or
@@ -842,7 +828,7 @@ class FlagRing:
         model = self.bundle.base
         raw = {}
         for exps, coeff in terms.items():
-            exps = _flag_monomial(exps, self.d)
+            exps = _monomial("flag-ring", exps, self.d)
             if not isinstance(coeff, GradedElement):
                 coeff = model.scalar(coeff)
             elif coeff.model is not model and coeff.model != model:

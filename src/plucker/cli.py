@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from .chow import FORMAL, POINT, BundleModel, formal_segre, point, projective_space
 from .degree import plucker_degree
-from .exact import exact_str, monomial_text
+from .exact import _corank, exact_str, monomial_text
 from .pushforward import (
     ALL_METHODS,
     DISPLAYED,
@@ -247,8 +247,10 @@ def _get_d(merged, rank):
     d = _get(merged, "options.d")
     if d is None:
         raise ConfigError("options.d: missing corank")
-    if not 1 <= d <= rank:
-        raise ConfigError(f"options.d: need 1 <= d <= rank={rank}, got {d}")
+    try:
+        _corank(d, rank)
+    except ValueError as err:
+        raise ConfigError(f"options.d: {err}") from None
     return d
 
 

@@ -139,6 +139,23 @@ def _refuse_non_int(what, values):
             raise TypeError(f"{what}: {value!r} is not an int")
 
 
+def _exact_scalar(value):
+    """``value`` if it is an int or a ``Fraction``, else ``TypeError``:
+    the one rule for a scalar, which refuses a float and a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+        raise TypeError(f"scalar {value!r} is not an int or a Fraction")
+    return value
+
+
+def _unit_vector(i, size):
+    """The exponents of the i-th of ``size`` variables; an index that is
+    not an int raises ``TypeError``, one outside 0 <= i < size ``ValueError``."""
+    _refuse_non_int("index", (i,))
+    if not 0 <= i < size:
+        raise ValueError(f"index {i} out of range 0..{size - 1}")
+    return (0,) * i + (1,) + (0,) * (size - i - 1)
+
+
 def _corank(d, rank):
     """Refuse a rank or a corank d that is not an int (``TypeError``),
     or a corank outside 1 <= d <= rank (``ValueError``)."""
@@ -258,9 +275,9 @@ class LaurentPoly(SparseTerms):
     Terms are a sparse map from integer exponent vectors (negative entries
     allowed) to nonzero coefficients; an exponent or a variable count
     that is not an int is refused with ``TypeError``.  Instances are
-    immutable by convention: no method mutates ``self``.  Scalars
-    multiply and compare as constants, but ``+`` and ``-`` take
-    polynomials only.
+    immutable by convention: no method mutates ``self``.  Coefficient-ring
+    elements and scalars (by :func:`_exact_scalar`) multiply, scalars
+    compare as constants, and ``+`` and ``-`` take polynomials only.
     """
 
     __slots__ = ("nvars",)
@@ -296,9 +313,7 @@ class LaurentPoly(SparseTerms):
 
     @classmethod
     def variable(cls, nvars: int, i: int) -> "LaurentPoly":
-        exps = [0] * nvars
-        exps[i] = 1
-        return cls(nvars, {tuple(exps): _ONE})
+        return cls(nvars, {_unit_vector(i, nvars): _ONE})
 
     def coeff(self, exps):
         return self.terms.get(tuple(exps), _ZERO)
@@ -324,10 +339,9 @@ class LaurentPoly(SparseTerms):
 
     def __mul__(self, other):
         if not isinstance(other, LaurentPoly):
-            # ring-element or rational scalar
-            _refuse_float(other)
-            if not other:
-                return self._new({})
+            # a coefficient-ring element, or a scalar
+            if not isinstance(other, SparseTerms):
+                _exact_scalar(other)
             return self._new({e: p for e, c in self.terms.items() if (p := c * other)})
         self._check(other)
         out = {}

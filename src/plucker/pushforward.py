@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import cache
 from math import factorial, lcm, perm, prod
 
-from .chow import GradedElement, _flag_monomial, tower_pushforward
+from .chow import GradedElement, _monomial, tower_pushforward
 from .exact import (LaurentPoly, _corank, const_of_product, det, exponent_vectors,
                     inv_factorial, vandermonde, vandermonde_at)
 from .symfunc import partitions_up_to, schur_delta, segre_det, segre_product, syt_count, weight
@@ -134,7 +134,7 @@ def monomial_pushforward_ct(p, bundle, d: int) -> GradedElement:
     const( Delta(t) prod t_i^{-p_i + r - d} s(E, t_i) )."""
     r = bundle.rank
     _corank(d, r)
-    p = _flag_monomial(p, d)
+    p = _monomial("flag-ring", p, d)
     f = segre_product(bundle, [-p[i] + r - d for i in range(d)])
     return _as_element(bundle.base, const_of_product(vandermonde(d), f))
 
@@ -143,7 +143,7 @@ def monomial_pushforward_det(p, bundle, d: int) -> GradedElement:
     """Same push-forward by the determinantal formula
     det[ s_{p_i + j - r + 1}(E) ]."""
     _corank(d, bundle.rank)
-    p = _flag_monomial(p, d)
+    p = _monomial("flag-ring", p, d)
     return segre_det(bundle, [e - bundle.rank + 1 for e in p])
 
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import cache
 from itertools import permutations
 from math import factorial, lcm, prod
 
@@ -220,7 +219,6 @@ def _to_integers(values):
     return [v.numerator * (common // v.denominator) for v in values], common
 
 
-@cache
 def _block_plan(r, d):
     """The r! permutations of r points, split into a first block of d and
     a second of r - d: the distinct ordered first blocks, the distinct

@@ -4,12 +4,15 @@ commands.
 
 Every check is exact (tolerance zero).  Cases run one after another in
 this process, and results are ordered by case key for reproducible
-output.  The oracle route pushes down the projective-bundle tower; each
-agreement case also builds one flag ring, the reference for the theta
-powers' structural checks, and each monomial-grid case builds one whose
-normal form is the monomial oracle.  The monomial grid builds one formal
-bundle per rank, so that the flag rings of its coranks share the
-bundle's relation table.
+output.  Like ``chern-pushforward``, an agreement case runs the routes
+of ``ALL_METHODS`` by name through ``pushforward.ch_pushforward``, and
+names the lowest differing base monomial in the order a graded element
+prints in (``BaseModel._repr_key``).  The oracle route pushes down the
+projective-bundle tower; each agreement case also builds one flag ring,
+the reference for the theta powers' structural checks, and each
+monomial-grid case builds one whose normal form is the monomial oracle.
+The monomial grid builds one formal bundle per rank, so that the flag
+rings of its coranks share the bundle's relation table.
 """
 
 from __future__ import annotations
@@ -26,10 +29,7 @@ from .pushforward import (
     ALL_METHODS,
     DISPLAYED,
     PROOF,
-    ch_pushforward_closed,
-    ch_pushforward_constterm,
-    ch_pushforward_oracle,
-    ch_pushforward_schur,
+    ch_pushforward,
     factorial_det_check,
     monomial_pushforward_ct,
     monomial_pushforward_det,
@@ -97,7 +97,7 @@ def _first_difference(name_a, a, name_b, b) -> str:
         return ""
     diff = a - b
     model = diff.model
-    exps = min(diff.terms, key=lambda e: (model._degree(e), tuple(-x for x in e)))
+    exps = min(diff.terms, key=model._repr_key)
     mono = monomial_text(model.gen_names, exps) or "1"
     coeff_a, coeff_b = (exact_str(x.terms.get(exps, 0)) for x in (a, b))
     return f"{name_a} and {name_b} differ at {mono}: {coeff_a} vs {coeff_b}"
@@ -126,13 +126,9 @@ def check_fourway(bundle, d: int) -> CaseResult:
     forward to zero below the relative dimension and to N! times the
     closed route's homogeneous components from there on."""
     key = f"agreement r={bundle.rank} d={d} {bundle.label}"
-    closed = ch_pushforward_closed(bundle, d, PROOF)
-    detail = route_disagreement({
-        "closed": closed,
-        "schur": ch_pushforward_schur(bundle, d),
-        "constterm": ch_pushforward_constterm(bundle, d),
-        "oracle": ch_pushforward_oracle(bundle, d),
-    })
+    series = {m: ch_pushforward(bundle, d, m) for m in ALL_METHODS}
+    closed = series["closed"]
+    detail = route_disagreement(series)
     if detail:
         return CaseResult(key, False, detail)
     ring = FlagRing(bundle, d)

@@ -419,6 +419,13 @@ class TestZeroAndNegativeValues:
         assert code == 2
         assert field in err
 
+    @pytest.mark.parametrize("command", ["degree", "chern-pushforward"])
+    @pytest.mark.parametrize("d", ["0", "4"])
+    def test_corank_outside_one_to_rank_refused(self, capsys, command, d):
+        code, out, err = run_cli(capsys, command, "--base", "point", "--rank", "3", "-d", d)
+        assert (code, out) == (2, "")
+        assert f"options.d: corank d={d} must satisfy 1 <= d <= rank=3" in err
+
     def test_oversized_degree_refused(self, capsys):
         code, _, err = run_cli(capsys, "degree", "--base", "point", "--rank", "2000",
                                "-d", "1000")

@@ -50,3 +50,25 @@ def test_ring_tables_read_by_layer_metrics_exist():
     metrics = report["metrics"]
     assert metrics["chow.xi_cache_entries"][0] == len(ring._xi_basis) > 0
     assert metrics["chow.chain_terms"][0] == sum(map(len, ring._theta_chain)) > 0
+
+
+def test_routes_are_looked_up_at_call_time(monkeypatch, capsys):
+    """The tracer's ``pushforward.*`` spans replace each route's module
+    attribute, so ``verify.check_fourway`` and ``chern-pushforward`` must
+    look the routes up there on every call, not in a table of function
+    objects built at import."""
+    from plucker import cli, pushforward, verify
+    from plucker.chow import BundleModel, formal_segre
+
+    base = formal_segre(2)
+    real = pushforward.ch_pushforward_schur
+    monkeypatch.setattr(pushforward, "ch_pushforward_schur",
+                        lambda bundle, d: real(bundle, d) + base.segre_generator(2))
+    result = verify.check_fourway(BundleModel.formal(base, 3), 1)
+    assert not result.ok
+    assert result.detail.startswith("closed and schur differ at s2: ")
+    code = cli.main(["chern-pushforward", "--base", "formal", "--truncation", "2",
+                     "--rank", "3", "--formal-bundle", "-d", "1"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "closed and schur differ at s2: " in err

@@ -532,16 +532,16 @@ class TestChernCharacterRoutes:
         assert len(built) == 1
 
     def test_fourway_failure_names_lowest_monomial(self, fm3, monkeypatch):
-        from plucker import verify
+        from plucker import pushforward, verify
 
         E = BundleModel.formal(fm3, 4)
-        real = verify.ch_pushforward_oracle
+        real = pushforward.ch_pushforward_oracle
         s1, s3 = fm3.segre_generator(1), fm3.segre_generator(3)
 
         def skewed(bundle, d):
             return real(bundle, d) + s1 ** 2 * 5 + s3
 
-        monkeypatch.setattr(verify, "ch_pushforward_oracle", skewed)
+        monkeypatch.setattr(pushforward, "ch_pushforward_oracle", skewed)
         res = verify.check_fourway(E, 2)
         want = ch_pushforward_closed(E, 2).terms.get((2, 0, 0), 0)
         assert not res.ok

@@ -221,6 +221,51 @@ def test_no_public_constructor_accepts_a_float(x):
             build()
 
 
+# what BaseModel.scalar refuses, a product refuses too: h * True once
+# returned h, and a Laurent polynomial times "ab" once repeated strings
+NOT_SCALARS = [True, "ab"]
+
+
+@pytest.mark.parametrize("value", NOT_SCALARS)
+def test_graded_product_refuses_what_scalar_refuses(value):
+    h = projective_space(2).hyperplane()
+    for build in (lambda: h * value, lambda: value * h, lambda: h + value,
+                  lambda: h.model.scalar(value)):
+        with pytest.raises(TypeError):
+            build()
+
+
+@pytest.mark.parametrize("value", NOT_SCALARS)
+def test_laurent_product_refuses_what_scalar_refuses(value):
+    poly = LaurentPoly.monomial(1, (1,), 2)
+    for build in (lambda: poly * value, lambda: value * poly):
+        with pytest.raises(TypeError, match="is not an int or a Fraction"):
+            build()
+    s1 = formal_segre(2).segre_generator(1)
+    assert (poly * s1).terms == {(1,): s1 * 2}
+
+
+# a generator or variable index is an int in range, by one rule
+INDEXED = {
+    "generator": (lambda i: projective_space(2).generator(i), 1),
+    "segre generator": (lambda i: formal_segre(2).generator(i), 2),
+    "laurent variable": (lambda i: LaurentPoly.variable(2, i), 2),
+    "xi": (lambda i: FlagRing(BundleModel.formal(formal_segre(2), 3), 2).xi(i), 2),
+}
+
+
+@pytest.mark.parametrize("build, size", INDEXED.values(), ids=INDEXED)
+def test_every_index_is_an_int_in_range(build, size):
+    for i in (True, 1.0, Fraction(0)):
+        with pytest.raises(TypeError, match=re.escape(f"index: {i!r} is not an int")):
+            build(i)
+    for i in (-1, size):
+        with pytest.raises(ValueError, match=f"index {i} out of range 0..{size - 1}"):
+            build(i)
+    for i in range(size):
+        assert list(build(i).terms) == [tuple(int(j == i) for j in range(size))]
+
+
 # an exponent or a dimension is a plain int: these once printed as
 # t0^0.5, s1^0.5 or P2.0, or counted True as 1
 NOT_INTS = [0.5, 2.0, True, Fraction(2)]
@@ -243,6 +288,12 @@ def test_laurent_poly_refuses_a_non_int_exponent_or_count(x):
 def test_graded_element_refuses_a_non_int_exponent(x):
     _refused(lambda: GradedElement(formal_segre(2), {(x, 0): 1}), x)
     _refused(lambda: GradedElement(projective_space(2), {(x,): 1}), x)
+
+
+@pytest.mark.parametrize("exps", [(1,), (1, 0, 0), (1, -1)])
+def test_graded_element_follows_the_monomial_rule(exps):
+    with pytest.raises(ValueError, match=re.escape(f"base monomial {exps} needs 2 nonnegative")):
+        GradedElement(formal_segre(2), {exps: 1})
 
 
 @pytest.mark.parametrize("x", NOT_INTS)
