@@ -42,8 +42,9 @@ never computes it.
 outside the ring, through ``FlagRingElement(ring, terms)`` too, so every
 element is in normal form.  A monomial x^p is refused unless p is d
 nonnegative ints, a corank unless it is an int with 1 <= d <= rank, a
-scalar unless it is an int or a ``Fraction``, and an index unless it is
-an int in range, by one rule each, wherever one is taken.
+scalar unless it is an int or a ``Fraction``, a flag-ring coefficient or
+a bundle class unless :meth:`BaseModel.element` takes it, and an index
+unless it is an int in range, by one rule each.
 
 Coefficients are exact: Python ints wherever they are integral (every
 formal and split bundle), ``Fraction`` only where the input brings a
@@ -57,8 +58,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .exact import (
-    LaurentPoly, SparseTerms, _corank, _exact_scalar, _refuse_float, _refuse_non_int, _tadd,
-    _unit_vector, exponent_vectors,
+    LaurentPoly, SparseTerms, _corank, _exact_scalar, _refuse_non_int, _tadd, _unit_vector,
+    exponent_vectors,
 )
 
 _ZERO = 0
@@ -119,6 +120,15 @@ class BaseModel:
         (or a bool) is refused with ``TypeError``."""
         value = _reduced(_exact_scalar(value))
         return _graded(self, {(0,) * len(self.gen_names): value} if value else {})
+
+    def element(self, value) -> "GradedElement":
+        """``value`` as an element of this model, a scalar by :meth:`scalar`;
+        an element of another model raises ``ValueError``."""
+        if not isinstance(value, GradedElement):
+            return self.scalar(value)
+        if value.model is not self and value.model != self:
+            raise ValueError("elements live over different base models")
+        return value
 
     def generator(self, index: int) -> "GradedElement":
         return GradedElement(self, {_unit_vector(index, len(self.gen_names)): _ONE})
@@ -216,8 +226,8 @@ class GradedElement(SparseTerms):
     """Element of a truncated graded base ring, sparse over monomials in
     the model generators.  Components above the truncation degree are
     dropped on construction and during multiplication.  An exponent that
-    is not an int is refused with ``TypeError``, like a float
-    coefficient."""
+    is not an int, or a coefficient that is not a scalar, is refused with
+    ``TypeError``."""
 
     __slots__ = ("model",)
 
@@ -228,19 +238,15 @@ class GradedElement(SparseTerms):
             n = model.n
             ngens = len(model.gen_names)
             for exps, coeff in terms.items():
-                _refuse_float(coeff)
+                _exact_scalar(coeff)
                 exps = _monomial("base", exps, ngens)
                 if coeff and model._degree(exps) <= n:
                     clean[exps] = coeff
         self.terms = clean
 
     def _coerce(self, other):
-        if isinstance(other, GradedElement):
-            if other.model != self.model:
-                raise ValueError("elements live over different base models")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return self.model.scalar(other)
+        if isinstance(other, (GradedElement, int, Fraction)):
+            return self.model.element(other)
         return None
 
     def _scalar(self, value):
@@ -386,13 +392,14 @@ def _integer_root(a) -> int:
     return a
 
 
-def _bundle_classes(rank, classes, name):
-    """``classes`` as a list, after refusing a rank that is not a positive
-    int and a class ``name``_i that is not homogeneous of degree i."""
+def _bundle_classes(base, rank, classes, name):
+    """``classes`` as elements of ``base``, after refusing a rank that is
+    not a positive int and a class ``name``_i that is not homogeneous of
+    degree i."""
     _refuse_non_int("rank", (rank,))
     if rank < 1:
         raise ValueError("rank must be positive")
-    classes = list(classes)
+    classes = [base.element(c) for c in classes]
     for i, c in enumerate(classes):
         if c and c.homogeneous_degree() not in (None, i):
             raise ValueError(f"{name}_{i} is not homogeneous of degree {i}")
@@ -433,7 +440,7 @@ class BundleModel:
 
     @classmethod
     def from_segre(cls, base, rank, segre, label=None):
-        segre = _bundle_classes(rank, segre, "s")
+        segre = _bundle_classes(base, rank, segre, "s")
         if len(segre) != base.n + 1:
             raise ValueError(f"need s_0..s_{base.n}, got {len(segre)} classes")
         chern = chern_from_segre(segre, base.n)
@@ -448,7 +455,7 @@ class BundleModel:
 
     @classmethod
     def from_chern(cls, base, rank, chern, label=None):
-        chern = _bundle_classes(rank, chern, "c")
+        chern = _bundle_classes(base, rank, chern, "c")
         segre = segre_from_chern(chern, rank, base.n)
         chern += [base.zero()] * (rank + 1 - len(chern))
         chern = [c if i <= base.n else base.zero() for i, c in enumerate(chern)]
@@ -821,18 +828,14 @@ class FlagRing:
 
     def from_terms(self, terms) -> "FlagRingElement":
         """Normal form of a map from exponent tuples, any of them at or
-        above its bound, to coefficients: an int or a ``Fraction``, which
-        goes through the base model's ``scalar`` and so refuses a float,
-        or an element of the same base model.  The one way an element is
-        built from outside the ring."""
+        above its bound, to coefficients, each an element of the base model
+        by :meth:`BaseModel.element`.  The one way an element is built from
+        outside the ring."""
         model = self.bundle.base
         raw = {}
         for exps, coeff in terms.items():
             exps = _monomial("flag-ring", exps, self.d)
-            if not isinstance(coeff, GradedElement):
-                coeff = model.scalar(coeff)
-            elif coeff.model is not model and coeff.model != model:
-                raise ValueError("scalar lives over a different base model")
+            coeff = model.element(coeff)
             if coeff:
                 raw[exps] = coeff.terms
         return self._normalize(raw)

@@ -98,10 +98,10 @@ def _parse_int(field, raw):
 
 
 def _get(merged, key):
-    """Option ``key`` read by its kind, or its default when it is not
-    given; an empty choice or switch counts as not given.  An int below
-    its minimum is refused, zero included, and a switch takes only
-    configparser's boolean words."""
+    """Option ``key``, from a flag or the file alike, read by its kind, or
+    its default when it is not given; an empty choice or switch counts as
+    not given.  An int below its minimum is refused, zero included, and a
+    switch takes only configparser's boolean words."""
     _, _, kind, default, minimum, _ = _OPTIONS[key]
     raw = merged.get(key)
     if raw is None:
@@ -219,8 +219,6 @@ def build_bundle(base, merged: dict):
         raise ConfigError("bundle.rank: missing")
 
     if wants_formal:
-        if base.kind != FORMAL:
-            raise ConfigError("bundle.formal: needs a formal base model")
         family = _get(merged, "bundle.family")
         try:
             return BundleModel.formal(base, rank, family)
@@ -427,12 +425,11 @@ def build_parser():
         for flag, commands, kind, _, _, text in _OPTIONS.values():
             if command not in commands:
                 continue
+            # a value is kept as given, for _get to read as it reads the file's
             if kind is bool:
                 extra = {"action": "store_true"}
-            elif kind is int:
-                extra = {"type": int}
             else:
-                extra = {"choices": kind if isinstance(kind, tuple) else None}
+                extra = {"metavar": "{%s}" % ",".join(kind) if isinstance(kind, tuple) else None}
             p.add_argument(*flag.split(), default=None, help=text, **extra)
     return parser
 

@@ -9,13 +9,13 @@ rational input); the constants here are the ints ``0`` and ``1``.
 coefficient" under :class:`LaurentPoly` here and ``GradedElement`` and
 ``FlagRingElement`` in ``chow``: it holds ``terms`` and implements truth,
 equality, addition, negation, subtraction and powers once, and
-``_accumulate`` is the one accumulate-and-prune rule.  Coefficients may
-live in any commutative ring whose elements support ``+``, ``-``, ``*``
-and truth testing.  Zero coefficients are pruned after every operation,
-so equality is structural equality of term maps.  Nothing in this module
-(or this package) ever rounds: floating point is banned end to end, a
-float coefficient, or an exponent or dimension that is not an int, is
-refused with ``TypeError``, and no polynomial is ever divided.
+``_accumulate`` is the one accumulate-and-prune rule.  A coefficient is
+an int or a ``Fraction`` (:func:`_exact_scalar`) or, in a Laurent
+polynomial, a ring element (:func:`_coefficient`), in every constructor
+and product alike; a float, a bool or a string, or an exponent or
+dimension that is not an int, raises ``TypeError``.  Zero coefficients
+are pruned after every operation, so equality is structural equality of
+term maps.  Nothing in this package rounds or divides a polynomial.
 
 Every Vandermonde and alternant in the package is computed here, once:
 :func:`vandermonde_at` is the product prod_{i<j} (v_i - v_j) at given
@@ -125,11 +125,6 @@ def _accumulate(out, key, value):
         out.pop(key, None)
 
 
-def _refuse_float(value):
-    if isinstance(value, float):
-        raise TypeError(f"coefficient {value!r} is a float; coefficients must be exact")
-
-
 def _refuse_non_int(what, values):
     """``TypeError`` naming the first of ``values`` that is not a plain
     int: an exponent or a dimension is never a float, a Fraction or a
@@ -145,6 +140,12 @@ def _exact_scalar(value):
     if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
         raise TypeError(f"scalar {value!r} is not an int or a Fraction")
     return value
+
+
+def _coefficient(value):
+    """``value`` if it is a ring element (a :class:`SparseTerms`) or a
+    scalar: a Laurent polynomial's one coefficient rule, factors too."""
+    return value if isinstance(value, SparseTerms) else _exact_scalar(value)
 
 
 def _unit_vector(i, size):
@@ -275,9 +276,10 @@ class LaurentPoly(SparseTerms):
     Terms are a sparse map from integer exponent vectors (negative entries
     allowed) to nonzero coefficients; an exponent or a variable count
     that is not an int is refused with ``TypeError``.  Instances are
-    immutable by convention: no method mutates ``self``.  Coefficient-ring
-    elements and scalars (by :func:`_exact_scalar`) multiply, scalars
-    compare as constants, and ``+`` and ``-`` take polynomials only.
+    immutable by convention: no method mutates ``self``.  A coefficient,
+    in the constructor or as a factor, is a ring element or a scalar (by
+    :func:`_coefficient`); scalars compare as constants, and ``+`` and
+    ``-`` take polynomials only.
     """
 
     __slots__ = ("nvars",)
@@ -294,8 +296,7 @@ class LaurentPoly(SparseTerms):
                         f"exponent vector {exps} has length {len(exps)}, expected {nvars}"
                     )
                 _refuse_non_int("exponent", exps)
-                _refuse_float(coeff)
-                if coeff:
+                if _coefficient(coeff):
                     clean[exps] = coeff
         self.terms = clean
 
@@ -339,9 +340,7 @@ class LaurentPoly(SparseTerms):
 
     def __mul__(self, other):
         if not isinstance(other, LaurentPoly):
-            # a coefficient-ring element, or a scalar
-            if not isinstance(other, SparseTerms):
-                _exact_scalar(other)
+            _coefficient(other)
             return self._new({e: p for e, c in self.terms.items() if (p := c * other)})
         self._check(other)
         out = {}

@@ -140,8 +140,6 @@ def check_fourway(bundle, d: int) -> CaseResult:
         value = ring.pushforward_theta_power(rel + m)
         if value != closed.component(m) * factorial(rel + m):
             return CaseResult(key, False, f"theta^{rel + m} disagrees with N! * component")
-        if value and value.homogeneous_degree() != m:
-            return CaseResult(key, False, f"theta^{rel + m} is not homogeneous of degree {m}")
     return CaseResult(key, True)
 
 

@@ -208,6 +208,38 @@ class TestBundles:
         with pytest.raises(ValueError):
             BundleModel.from_chern(p1, 2, [p1.one(), p1.one() + p1.hyperplane()])
 
+    # a bundle class is a scalar or an element of the base: the int classes
+    # below once raised AttributeError, or built a bundle whose int zeros
+    # the flag ring could not read
+    def test_int_chern_class_is_the_trivial_bundle(self, p2):
+        E = BundleModel.from_chern(p2, 2, [1])
+        assert E.segre == E.chern == BundleModel.trivial(p2, 2).chern
+
+    def test_int_segre_classes_are_the_trivial_bundle(self, p2):
+        E = BundleModel.from_segre(p2, 2, [1, 0, Fraction(0)])
+        assert E.segre == E.chern == BundleModel.trivial(p2, 2).chern
+
+    def test_int_zero_chern_classes_agree_on_every_route(self, p2):
+        E = BundleModel.from_chern(p2, 2, [p2.one(), 0, 0])
+        assert all(isinstance(c, GradedElement) for c in E.segre + E.chern)
+        for d in (1, 2):
+            assert check_fourway(E, d).ok
+            trivial = FlagRing(BundleModel.trivial(p2, 2), d)
+            ring = FlagRing(E, d)
+            for N in range(d * (2 - d) + 3):
+                assert ring.pushforward_theta_power(N) == trivial.pushforward_theta_power(N)
+
+    @pytest.mark.parametrize("bad", [True, "ab", 1.5, None])
+    def test_bundle_class_that_is_no_scalar_refused(self, p2, bad):
+        for build in (BundleModel.from_chern, BundleModel.from_segre):
+            with pytest.raises(TypeError, match="is not an int or a Fraction"):
+                build(p2, 2, [p2.one(), bad, 0])
+
+    def test_bundle_class_of_another_base_refused(self, p1, p2):
+        for build in (BundleModel.from_chern, BundleModel.from_segre):
+            with pytest.raises(ValueError, match="different base models"):
+                build(p2, 2, [p1.one(), 0, 0])
+
 
 class TestFlagRing:
     def test_trivial_relation_kills_square(self, p1):

@@ -619,6 +619,73 @@ class TestOptionTable:
         assert code == 0
         assert "denominator variant: proof" in out
 
+    # a malformed value for every option with a flag (the switch takes no
+    # value on the command line), empty ones included
+    BAD_VALUES = {
+        "options.format": "yaml",
+        "options.seed": "x",
+        "options.trials": "0",
+        "options.truncation": "-1",
+        "base.kind": "torus",
+        "base.dim": "2.5",
+        "base.families": "",
+        "bundle.rank": "x",
+        "bundle.roots": "1,a",
+        "bundle.segre": "1,x",
+        "bundle.family": "",
+        "options.d": "x",
+        "options.denominator": "both",
+        "options.max-rank": "1.0",
+    }
+
+    @staticmethod
+    def _write_ini(path, values):
+        sections = {}
+        for key, value in values.items():
+            section, name = key.split(".")
+            sections.setdefault(section, []).append(f"{name} = {value}\n")
+        path.write_text("".join(f"[{s}]\n" + "".join(lines) for s, lines in sections.items()))
+        return str(path)
+
+    @pytest.mark.parametrize("key", BAD_VALUES)
+    def test_flag_and_file_value_read_by_one_rule(self, capsys, tmp_path, key):
+        from plucker import cli
+
+        flag, commands, *_ = cli._OPTIONS[key]
+        command = "chern-pushforward" if "chern-pushforward" in commands else commands[0]
+        base = {}
+        if command == "chern-pushforward":
+            base = {"base.kind": "formal", "bundle.rank": "2", "bundle.formal": "1",
+                    "options.d": "1"}
+            if key in ("bundle.roots", "bundle.segre"):
+                base.update({"base.kind": "P2", "bundle.formal": ""})
+        bad = self.BAD_VALUES[key]
+        from_flag = run_cli(capsys, command, "--config",
+                            self._write_ini(tmp_path / "base.ini", base),
+                            flag.split()[0], bad)
+        from_file = run_cli(capsys, command, "--config",
+                            self._write_ini(tmp_path / "bad.ini", {**base, key: bad}))
+        assert from_flag == from_file
+        code, out, err = from_flag
+        assert (code, out) == (2, "")
+        assert err.startswith(f"config error: {key}: ") and err.count("\n") == 1, err
+
+    def test_every_flag_has_a_bad_value(self):
+        from plucker import cli
+
+        flagged = {key for key, row in cli._OPTIONS.items() if row[0] and row[2] is not bool}
+        assert flagged == set(self.BAD_VALUES)
+
+    @pytest.mark.parametrize("given, same_as", [("JSON", "json"), (" Json ", "json"),
+                                                ("", "text")])
+    def test_choice_flag_is_read_as_the_file_reads_it(self, capsys, tmp_path, given, same_as):
+        job = ("degree", "--base", "point", "--rank", "4", "-d", "2")
+        from_flag = run_cli(capsys, *job, "--format", given)
+        ini = self._write_ini(tmp_path / "job.ini", {"options.format": given})
+        from_file = run_cli(capsys, *job, "--config", ini)
+        assert from_flag == from_file == run_cli(capsys, *job, "--format", same_as)
+        assert from_flag[0] == 0
+
     BUNDLE_READS = {"base.kind", "base.dim", "base.families", "options.truncation",
                     "bundle.rank", "bundle.roots", "bundle.segre", "bundle.formal",
                     "bundle.family", "options.d", "options.denominator", "options.format"}

@@ -549,6 +549,32 @@ class TestChernCharacterRoutes:
             f"closed and oracle differ at s1^2: {exact_str(want)} vs {exact_str(want + 5)}"
         )
 
+    # the flag ring's theta^N made wrong one step below the relative
+    # dimension rel, or one step above it, where it is compared with the
+    # degree-1 component of the closed route
+    @pytest.mark.parametrize("shift, message", [
+        (-1, "theta^{} pushed forward is nonzero"),
+        (1, "theta^{} disagrees with N! * component"),
+    ], ids=["below-rel", "above-rel"])
+    def test_theta_power_failure_is_named(self, fm3, monkeypatch, capsys, shift, message):
+        from plucker import verify
+        from plucker.cli import main
+
+        real = FlagRing.pushforward_theta_power
+
+        def skewed(ring, N):
+            value = real(ring, N)
+            if N == ring.d * (ring.bundle.rank - ring.d) + shift:
+                value = value + ring.bundle.base.one()
+            return value
+
+        monkeypatch.setattr(FlagRing, "pushforward_theta_power", skewed)
+        res = verify.check_fourway(BundleModel.formal(fm3, 4), 2)
+        assert (res.ok, res.detail) == (False, message.format(4 + shift))
+        assert main(["verify", "--max-rank", "2"]) == 1
+        out = capsys.readouterr().out
+        assert re.search(re.escape(message).replace(r"\{\}", r"\d+"), out)
+
     def test_monomial_grid_failure_names_monomial(self, monkeypatch):
         from plucker import verify
 

@@ -198,9 +198,7 @@ def test_unhashable(elem):
         {elem}
 
 
-@given(st.floats())
-@settings(max_examples=40, deadline=None)
-def test_no_public_constructor_accepts_a_float(x):
+def _refused_by_every_constructor(x):
     base = formal_segre(2)
     ring = FlagRing(BundleModel.formal(base, 3), 2)
     poly = LaurentPoly.variable(1, 0)
@@ -217,13 +215,31 @@ def test_no_public_constructor_accepts_a_float(x):
         lambda: ring.from_terms({(1, 0): x}),
     ]
     for build in builders:
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match="is not an int or a Fraction"):
             build()
 
 
-# what BaseModel.scalar refuses, a product refuses too: h * True once
-# returned h, and a Laurent polynomial times "ab" once repeated strings
+@given(st.floats())
+@settings(max_examples=40, deadline=None)
+def test_no_public_constructor_accepts_a_float(x):
+    _refused_by_every_constructor(x)
+
+
+# what BaseModel.scalar refuses, a product and a constructor refuse too:
+# h * True once returned h, a Laurent polynomial times "ab" once repeated
+# strings, and LaurentPoly.constant(1, True) once equalled 1
 NOT_SCALARS = [True, "ab"]
+
+
+@pytest.mark.parametrize("value", NOT_SCALARS)
+def test_no_public_constructor_accepts_what_scalar_refuses(value):
+    _refused_by_every_constructor(value)
+
+
+def test_a_bool_equals_no_constant():
+    for one in (LaurentPoly.constant(1, 1), projective_space(2).one()):
+        with pytest.raises(TypeError, match="scalar True is not an int or a Fraction"):
+            one == True
 
 
 @pytest.mark.parametrize("value", NOT_SCALARS)
