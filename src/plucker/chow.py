@@ -238,7 +238,7 @@ class GradedElement(SparseTerms):
             n = model.n
             ngens = len(model.gen_names)
             for exps, coeff in terms.items():
-                _exact_scalar(coeff)
+                coeff = _reduced(_exact_scalar(coeff))
                 exps = _monomial("base", exps, ngens)
                 if coeff and model._degree(exps) <= n:
                     clean[exps] = coeff

@@ -19,7 +19,8 @@ term maps.  Nothing in this package rounds or divides a polynomial.
 
 Every Vandermonde and alternant in the package is computed here, once:
 :func:`vandermonde_at` is the product prod_{i<j} (v_i - v_j) at given
-values, :func:`alternant` the polynomial det[t_i^(p_j)] built term by
+values, :func:`block_vandermonde` the same product read off a table of
+differences, :func:`alternant` the polynomial det[t_i^(p_j)] built term by
 term, :func:`vandermonde` its cached staircase case, and :func:`det` the
 one division-free determinant over a commutative ring.  Only
 ``pushforward.phi`` keeps its own integer determinant, so that the
@@ -390,6 +391,13 @@ def vandermonde_at(values):
     """The Vandermonde product prod_{i<j} (v_i - v_j) of the values in
     their given order; 1 for fewer than two values."""
     return prod(a - b for a, b in combinations(values, 2))
+
+
+def block_vandermonde(diffs, block):
+    """:func:`vandermonde_at` of the values v_i, i in ``block`` in its
+    given order, read off a table of differences diffs[i][j] = v_i - v_j
+    as a product of its entries; 1 for fewer than two indices."""
+    return prod([diffs[i][j] for i, j in combinations(block, 2)])
 
 
 def alternant(powers) -> LaurentPoly:

@@ -9,7 +9,10 @@ the Segre classes of a bundle alike, are Jacobi-Trudi determinants
 through ``exact.det``; no polynomial is ever divided.  The
 antisymmetrizers here are the unnormalized ones, A(f) = sum over
 permutations of sgn * permuted f, so repeated application scales by the
-factorial of the block size.
+factorial of the block size.  The generalized Cauchy determinant
+identity is checked at random rational points drawn as reduced
+(numerator, denominator) int pairs, on ints from the draw to the final
+comparison, with one table of differences per point.
 """
 
 from __future__ import annotations
@@ -17,9 +20,10 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import permutations
-from math import factorial, lcm, prod
+from math import factorial, gcd, lcm, prod
 
-from .exact import LaurentPoly, _corank, _tadd, det, exponent_vectors, perm_sign, vandermonde_at
+from .exact import (LaurentPoly, _corank, _tadd, block_vandermonde, det, exact_str,
+                    exponent_vectors, perm_sign, vandermonde_at)
 
 # random rational points of gen_cauchy_check have numerators in
 # [-SAMPLE_HEIGHT, SAMPLE_HEIGHT] and denominators in [1, SAMPLE_HEIGHT]
@@ -210,13 +214,19 @@ def antisymmetrize(f: LaurentPoly, block) -> LaurentPoly:
 
 
 def _random_fraction(rng, height):
-    return Fraction(rng.randint(-height, height), rng.randint(1, height))
+    """A random rational number n/m, numerator from one randint in
+    [-height, height] and denominator from one in [1, height], as the
+    pair (n, m) reduced by their gcd: equal numbers give equal pairs."""
+    numerator, denominator = rng.randint(-height, height), rng.randint(1, height)
+    common = gcd(numerator, denominator)
+    return numerator // common, denominator // common
 
 
 def _to_integers(values):
-    """The values times the lcm L of their denominators, as ints, and L."""
-    common = lcm(*(v.denominator for v in values))
-    return [v.numerator * (common // v.denominator) for v in values], common
+    """The (numerator, denominator) pairs times the lcm L of their
+    denominators, as ints, and L."""
+    common = lcm(*(den for _, den in values))
+    return [num * (common // den) for num, den in values], common
 
 
 def _block_plan(r, d):
@@ -235,20 +245,23 @@ def _block_plan(r, d):
 def _signed_block_sum(xs, plan, weights):
     """Sum over permutations of sgn * V(a) V(b) * prod_{x in b} w(x),
     where a and b are the first d and the last r-d permuted points and
-    ``weights[i]`` is w(xs[i]).  Each ordered block of the
-    :func:`_block_plan` is evaluated once, and the sum still adds all r!
-    signed products."""
+    ``weights[i]`` is w(xs[i]).  One table of differences xs[i] - xs[j]
+    is built per point, and each ordered block of the :func:`_block_plan`
+    takes its Vandermonde product from it once; the sum still adds all
+    r! signed products."""
     firsts, seconds, triples = plan
-    va = [vandermonde_at([xs[i] for i in a]) for a in firsts]
-    vb = [vandermonde_at([xs[i] for i in b]) * prod(weights[i] for i in b) for b in seconds]
+    diffs = [[x - y for y in xs] for x in xs]
+    va = [block_vandermonde(diffs, a) for a in firsts]
+    vb = [block_vandermonde(diffs, b) * prod(weights[i] for i in b) for b in seconds]
     return sum(sign * va[a] * vb[b] for sign, a, b in triples)
 
 
 def _tau_point_holds(xs, taus, plan, scale):
     """The tau form at one point, with every denominator cleared:
     sum sgn V(a)V(b) prod_{tau, x in b}(tau - x) == scale * V(X), the
-    identity times prod_{tau, x}(tau - x), at the point scaled to
-    integers (both sides are homogeneous of degree r(r-1)/2)."""
+    identity times prod_{tau, x}(tau - x), at the point of (numerator,
+    denominator) pairs scaled to integers by the lcm of its denominators
+    (both sides are homogeneous of degree r(r-1)/2)."""
     ints, _ = _to_integers(list(xs) + list(taus))
     xs, taus = ints[:len(xs)], ints[len(xs):]
     weights = [prod(tau - x for tau in taus) for x in xs]
@@ -256,9 +269,11 @@ def _tau_point_holds(xs, taus, plan, scale):
 
 
 def _t_point_holds(xs, ts, plan, scale):
-    """The t form at one point, with every denominator cleared: for
-    x = X/L and t = T/M, 1 - x t = (LM - XT)/(LM), and the identity times
-    prod_{t, x}(1 - x t) becomes
+    """The t form at one point of (numerator, denominator) pairs, with
+    every denominator cleared: for x = X/L and t = T/M, where L and M are
+    the lcms of the denominators of the xs and of the ts,
+    1 - x t = (LM - XT)/(LM), and the identity times prod_{t, x}(1 - x t)
+    becomes
     sum sgn V(a)V(b) prod_{t, x in b}(LM - XT) == scale * V(X) prod T^(r-d)."""
     xs, big_l = _to_integers(xs)
     ts, big_m = _to_integers(ts)
@@ -274,10 +289,19 @@ def gen_cauchy_check(r: int, d: int, trials: int = 100, seed: int = 0) -> bool:
 
     With the unnormalized antisymmetrizer the correct right-hand side
     carries the combinatorial factor d! (r-d)!; see the identity notes in
-    the README.  Degenerate samples (coinciding points, vanishing
-    denominators) are resampled, never evaluated.  Each point is checked
-    with its denominators cleared, on ints: equality is exact.
+    the README.  Each point is drawn as reduced (numerator, denominator)
+    int pairs, degenerate samples (coinciding points, vanishing
+    denominators) are resampled, never evaluated, and each point is
+    checked with its denominators cleared: no ``Fraction`` is formed and
+    equality is exact.
     """
+    return gen_cauchy_witness(r, d, trials, seed) is None
+
+
+def gen_cauchy_witness(r: int, d: int, trials: int = 100, seed: int = 0):
+    """None when :func:`gen_cauchy_check` holds, else the form that
+    failed (``"tau"`` or ``"t"``) and the first failing point, written
+    with exact numbers."""
     _corank(d, r)
     if trials < 1:
         raise ValueError(f"trials: need at least 1, got {trials}")
@@ -286,14 +310,17 @@ def gen_cauchy_check(r: int, d: int, trials: int = 100, seed: int = 0) -> bool:
     rng = random.Random(seed)
     scale = factorial(d) * factorial(r - d)
     plan = _block_plan(r, d)
+    forms = (("tau", _tau_clash, _tau_point_holds), ("t", _t_clash, _t_point_holds))
     for _ in range(trials):
-        xs, taus = _sample_point(rng, r, d, SAMPLE_HEIGHT, _tau_clash)
-        if not _tau_point_holds(xs, taus, plan, scale):
-            return False
-        xs, ts = _sample_point(rng, r, d, SAMPLE_HEIGHT, _t_clash)
-        if not _t_point_holds(xs, ts, plan, scale):
-            return False
-    return True
+        for form, clash, holds in forms:
+            xs, ys = _sample_point(rng, r, d, SAMPLE_HEIGHT, clash)
+            if not holds(xs, ys, plan, scale):
+                return form, f"x = {_point_text(xs)}, {form} = {_point_text(ys)}"
+    return None
+
+
+def _point_text(pairs):
+    return "(" + ", ".join(exact_str(Fraction(*pair)) for pair in pairs) + ")"
 
 
 def _tau_clash(tau, x):
@@ -301,12 +328,14 @@ def _tau_clash(tau, x):
 
 
 def _t_clash(t, x):
-    return x * t == 1
+    """Whether x t = 1, for (numerator, denominator) pairs."""
+    return x[0] * t[0] == x[1] * t[1]
 
 
 def _sample_point(rng, r, d, height, clash):
-    """Draw r points xs and d points ys until the xs are distinct and no
-    pair has ``clash(y, x)``."""
+    """Draw r points xs and d points ys, each a reduced (numerator,
+    denominator) pair, until the xs are distinct and no pair has
+    ``clash(y, x)``."""
     while True:
         xs = [_random_fraction(rng, height) for _ in range(r)]
         ys = [_random_fraction(rng, height) for _ in range(d)]

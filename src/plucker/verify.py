@@ -36,7 +36,8 @@ from .pushforward import (
     phi,
     phi_eval_monomial,
 )
-from .symfunc import cauchy_mismatch_witness, gen_cauchy_check, partitions_up_to, schur_in_t
+from .symfunc import (cauchy_mismatch_witness, gen_cauchy_check, gen_cauchy_witness,
+                      partitions_up_to, schur_in_t)
 
 DEFAULT_MAX_RANK = 6
 DEFAULT_TRUNCATION = 3
@@ -284,11 +285,13 @@ def run_identity_suite(
             )
 
     for r, d in GEN_CAUCHY_PAIRS:
-        ok = gen_cauchy_check(r, d, trials=trials, seed=seed + 100 * r + d)
+        args = (r, d, trials, seed + 100 * r + d)
+        ok = gen_cauchy_check(*args)
         results.append(
             CaseResult(
                 f"generalized Cauchy determinant r={r} d={d} ({trials} points)",
                 ok,
+                "" if ok else "{} form fails at {}".format(*gen_cauchy_witness(*args)),
             )
         )
     return results

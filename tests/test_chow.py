@@ -204,6 +204,12 @@ class TestBundles:
         E = BundleModel.from_chern_roots(p1, [Fraction(3), 1])
         assert E.segre == BundleModel.from_chern_roots(p1, [3, 1]).segre
 
+    def test_integral_fraction_coefficient_is_an_int(self, p2):
+        c1 = GradedElement(p2, {(1,): Fraction(2)})
+        assert c1.terms == {(1,): 2} and type(c1.terms[(1,)]) is int
+        s2 = BundleModel.from_chern(p2, 2, [1, c1]).segre[2]
+        assert s2.terms == {(2,): 4} and type(s2.terms[(2,)]) is int
+
     def test_inhomogeneous_chern_rejected(self, p1):
         with pytest.raises(ValueError):
             BundleModel.from_chern(p1, 2, [p1.one(), p1.one() + p1.hyperplane()])

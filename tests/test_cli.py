@@ -203,6 +203,19 @@ class TestIdentityCheckCommand:
         assert "generalized Cauchy determinant" in out
         assert "FAIL" not in out
 
+    def test_cauchy_failure_names_form_and_point(self, capsys, monkeypatch):
+        from plucker import symfunc
+        from plucker.verify import GEN_CAUCHY_PAIRS
+
+        monkeypatch.setattr(symfunc, "_tau_point_holds", lambda *args: False)
+        code, out, _ = run_cli(capsys, "identity-check", "--trials", "2")
+        assert code == 1
+        for r, d in GEN_CAUCHY_PAIRS:
+            form, point = symfunc.gen_cauchy_witness(r, d, 2, 11 + 100 * r + d)
+            assert form == "tau"
+            assert (f"[FAIL] generalized Cauchy determinant r={r} d={d} (2 points)"
+                    f"  (tau form fails at {point})") in out.splitlines()
+
 
 class TestConfigFile:
     def test_config_only_invocation(self, capsys, tmp_path):

@@ -6,13 +6,22 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from plucker import symfunc
 from plucker.chow import BundleModel, formal_segre, point, projective_space
-from plucker.exact import LaurentPoly, det, perm_sign, vandermonde
+from plucker.exact import (
+    LaurentPoly,
+    block_vandermonde,
+    det,
+    perm_sign,
+    vandermonde,
+    vandermonde_at,
+)
 from plucker.symfunc import (
     antisymmetrize,
     cauchy_expand_check,
     cauchy_mismatch_witness,
     gen_cauchy_check,
+    gen_cauchy_witness,
     is_partition,
     partitions_up_to,
     schur_delta,
@@ -320,10 +329,25 @@ def _t_form_sides(xs, ts, r, d):
     return lhs, num / den
 
 
+def _fraction_sample_point(rng, r, d, height, clash):
+    """The sampler as it drew ``Fraction`` points, the reference for the
+    pair sampler: the same randint calls and the same resampling rule."""
+    while True:
+        xs = [Fraction(rng.randint(-height, height), rng.randint(1, height)) for _ in range(r)]
+        ys = [Fraction(rng.randint(-height, height), rng.randint(1, height)) for _ in range(d)]
+        if len(set(xs)) == r and not any(clash(y, x) for y in ys for x in xs):
+            return xs, ys
+
+
 CAUCHY_SHAPES = [(2, 1), (3, 1), (3, 3), (4, 2), (5, 2), (5, 3)]
 CAUCHY_FORMS = [
     (_tau_clash, _tau_point_holds, _tau_form_sides),
     (_t_clash, _t_point_holds, _t_form_sides),
+]
+# each pair clash rule beside the Fraction rule it replaces
+SAMPLER_FORMS = [
+    (_tau_clash, lambda tau, x: tau == x),
+    (_t_clash, lambda t, x: x * t == 1),
 ]
 
 
@@ -340,7 +364,7 @@ class TestGeneralizedCauchy:
         right = factorial(d) * factorial(r - d)
         for _ in range(4):
             xs, ys = _sample_point(rng, r, d, 20, clash)
-            lhs, rhs = sides(xs, ys, r, d)
+            lhs, rhs = sides([Fraction(*x) for x in xs], [Fraction(*y) for y in ys], r, d)
             assert rhs != 0
             for scale in (right, right + 1, right - 1, 2 * right):
                 assert holds(xs, ys, plan, scale) == (lhs == scale * rhs), scale
@@ -369,6 +393,48 @@ class TestGeneralizedCauchy:
         perms = [firsts[a] + seconds[b] for _, a, b in triples]
         assert sorted(perms) == sorted(permutations(range(r)))
         assert all(sign == perm_sign(p) for (sign, _, _), p in zip(triples, perms))
+
+    @pytest.mark.parametrize("r,d", CAUCHY_SHAPES)
+    @pytest.mark.parametrize("form", SAMPLER_FORMS, ids=["tau", "t"])
+    @pytest.mark.parametrize("height", [2, 20])
+    def test_pair_sampler_draws_the_fraction_points(self, form, r, d, height):
+        # height 2 leaves few distinct values, so both resampling rules fire
+        clash, fraction_clash = form
+        for seed in range(4):
+            pairs, fractions = random.Random(seed), random.Random(seed)
+            for _ in range(10):
+                xs, ys = _sample_point(pairs, r, d, height, clash)
+                want = _fraction_sample_point(fractions, r, d, height, fraction_clash)
+                assert (xs, ys) == tuple([(v.numerator, v.denominator) for v in side]
+                                         for side in want)
+            assert pairs.random() == fractions.random()
+
+    @pytest.mark.parametrize("r,d", CAUCHY_SHAPES + [(6, 3), (1, 1)])
+    def test_block_vandermonde_matches_vandermonde_at(self, r, d):
+        xs = random.Random(10 * r + d).sample(range(-50, 50), r)
+        diffs = [[x - y for y in xs] for x in xs]
+        firsts, seconds, _ = _block_plan(r, d)
+        for block in firsts + seconds:
+            assert block_vandermonde(diffs, block) == vandermonde_at([xs[i] for i in block])
+
+    def test_check_forms_no_fraction(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError(f"Fraction{args} formed")
+
+        monkeypatch.setattr(symfunc, "Fraction", refuse)
+        for r, d in CAUCHY_SHAPES:
+            assert gen_cauchy_check(r, d, trials=5, seed=3)
+
+    @pytest.mark.parametrize("form", ["tau", "t"])
+    def test_witness_names_first_failing_point(self, monkeypatch, form):
+        monkeypatch.setattr(symfunc, f"_{form}_point_holds", lambda *args: False)
+        rng = random.Random(5)
+        xs, ys = _sample_point(rng, 3, 1, 20, _tau_clash)
+        if form == "t":
+            xs, ys = _sample_point(rng, 3, 1, 20, _t_clash)
+        point = f"x = ({', '.join(str(Fraction(*x)) for x in xs)}), {form} = ({Fraction(*ys[0])})"
+        assert gen_cauchy_witness(3, 1, 2, 5) == (form, point)
+        assert not gen_cauchy_check(3, 1, 2, 5)
 
     def test_hand_point_r2_d1(self):
         # A(1/(tau - x0)) at x = (0, 1), tau = 2: 1/2 - 1 = -1/2 = (0-1)/(2*1)
