@@ -49,28 +49,43 @@ def phi(f: LaurentPoly, nvars: int):
     where 1/m! = 0 for m < 0.  Row i times a_i! is the integer falling
     factorials a_i!/(a_i - j)!, read from :func:`_falling_row`, so t^e
     adds its coefficient times the determinant :func:`_int_det` of those
-    over prod a_i!.  Int and ``Fraction`` coefficients are summed as one
-    numerator over the lcm of their denominators, and one ``Fraction``
-    is built at the end."""
+    over prod a_i!.  Every coefficient, an int, a ``Fraction`` or a
+    base-ring :class:`GradedElement`, is summed as int numerators over
+    one lcm of all the denominators (one numerator per base monomial),
+    and one ``Fraction``, or one ``GradedElement`` when some kept term
+    has one as its coefficient, is built at the end."""
+    if nvars < 1:
+        raise ValueError("need at least one variable")
     if f.nvars != nvars:
         raise ValueError("variable count mismatch")
-    total = _ZERO
-    num_sum, den_sum = 0, 1
+    kept, model = [], None  # (base monomial or None, numerator, denominator)
     for exps, coeff in f.terms.items():
         tops = [e + nvars - 1 for e in exps]
-        if min(tops) >= 0:  # else row i of the determinant is zero
-            num = _int_det([list(_falling_row(a, nvars)) for a in tops])
-            if not num:
-                continue
-            den = prod(map(factorial, tops))
-            if isinstance(coeff, (int, Fraction)):
-                num, den = num * coeff.numerator, den * coeff.denominator
-                common = lcm(den_sum, den)
-                num_sum = num_sum * (common // den_sum) + num * (common // den)
-                den_sum = common
-            else:
-                total = total + coeff * Fraction(num, den)
-    return total + Fraction(num_sum, den_sum) if num_sum else total
+        if min(tops) < 0:  # row i of the determinant is zero
+            continue
+        num = _int_det([list(_falling_row(a, nvars)) for a in tops])
+        if not num:
+            continue
+        den = prod(map(factorial, tops))
+        if isinstance(coeff, (int, Fraction)):
+            kept.append((None, num * coeff.numerator, den * coeff.denominator))
+        elif isinstance(coeff, GradedElement):
+            model = coeff.model if model is None else model.element(coeff).model
+            kept.extend((e, num * c.numerator, den * c.denominator)
+                        for e, c in coeff.terms.items())
+        else:
+            raise TypeError(f"phi: coefficient {coeff!r} is not a scalar or a base-ring element")
+    common = lcm(*[den for _, _, den in kept])
+    sums = {}
+    for key, num, den in kept:
+        sums[key] = sums.get(key, 0) + num * (common // den)
+    if model is None:
+        total = sums.get(None)
+        return Fraction(total, common) if total else _ZERO
+    if None in sums:
+        one = (0,) * len(model.gen_names)
+        sums[one] = sums.get(one, 0) + sums.pop(None)
+    return GradedElement(model, {e: Fraction(s, common) for e, s in sums.items()})
 
 
 @cache
@@ -82,33 +97,48 @@ def _falling_row(a: int, nvars: int) -> tuple:
 def _int_det(rows) -> int:
     """Determinant of a square int matrix, overwriting ``rows``, by Bareiss's
     fraction-free elimination (Math. Comp. 22, 1968): each ``//`` is exact
-    by Sylvester's identity, and a zero pivot swaps in a lower row."""
+    by Sylvester's identity, and a zero pivot swaps in a lower row.  The
+    pivot row is bound once per step, and a row whose lead is 0 is only
+    rescaled, entry * pivot // prev."""
     n, sign, prev = len(rows), 1, 1
     for k in range(n - 1):
-        if not rows[k][k]:
+        pivot_row = rows[k]
+        pivot = pivot_row[k]
+        if not pivot:
             swap = next((i for i in range(k + 1, n) if rows[i][k]), None)
             if swap is None:
                 return 0
-            rows[k], rows[swap] = rows[swap], rows[k]
+            pivot_row = rows[swap]
+            rows[k], rows[swap] = pivot_row, rows[k]
+            pivot = pivot_row[k]
             sign = -sign
-        pivot, pivot_row = rows[k][k], rows[k]
-        for row in rows[k + 1:]:
+        rest = range(k + 1, n)
+        for i in rest:
+            row = rows[i]
             lead = row[k]
-            for j in range(k + 1, n):
-                row[j] = (row[j] * pivot - lead * pivot_row[j]) // prev
+            if lead:
+                for j in rest:
+                    row[j] = (row[j] * pivot - lead * pivot_row[j]) // prev
+            else:
+                for j in rest:
+                    row[j] = row[j] * pivot // prev
         prev = pivot
     return sign * rows[-1][-1]
 
 
 def phi_eval_monomial(k) -> Fraction:
     """Closed form of phi on the monomial prod t_i^{k_i}:
-    (-1)^(d(d-1)/2) * prod_{i<j}(k_i - k_j) / prod (k_i + d - 1)!."""
+    (-1)^(d(d-1)/2) * prod_{i<j}(k_i - k_j) / prod (k_i + d - 1)!,
+    0 on repeated exponents before any factorial is formed."""
     k = tuple(k)
     d = len(k)
     if any(x < 0 for x in k):
         raise ValueError("exponents must be nonnegative")
+    numerator = vandermonde_at(k)
+    if not numerator:
+        return _ZERO
     sign = -1 if (d * (d - 1) // 2) % 2 else 1
-    return Fraction(sign * vandermonde_at(k), prod(factorial(x + d - 1) for x in k))
+    return Fraction(sign * numerator, prod(factorial(x + d - 1) for x in k))
 
 
 def factorial_det_check(x) -> bool:

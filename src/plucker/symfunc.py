@@ -232,27 +232,32 @@ def _to_integers(values):
 def _block_plan(r, d):
     """The r! permutations of r points, split into a first block of d and
     a second of r - d: the distinct ordered first blocks, the distinct
-    ordered second blocks, and one (sign, first index, second index)
-    triple per permutation."""
+    ordered second blocks, the index of each second block's set, the
+    sorted sets, and one (sign, first index, second index) triple per
+    permutation."""
     firsts, seconds, triples = {}, {}, []
     for perm in permutations(range(r)):
         a = firsts.setdefault(perm[:d], len(firsts))
         b = seconds.setdefault(perm[d:], len(seconds))
         triples.append((perm_sign(perm), a, b))
-    return tuple(firsts), tuple(seconds), tuple(triples)
+    sets = {}
+    set_of = tuple(sets.setdefault(tuple(sorted(b)), len(sets)) for b in seconds)
+    return tuple(firsts), tuple(seconds), set_of, tuple(sets), tuple(triples)
 
 
 def _signed_block_sum(xs, plan, weights):
     """Sum over permutations of sgn * V(a) V(b) * prod_{x in b} w(x),
     where a and b are the first d and the last r-d permuted points and
     ``weights[i]`` is w(xs[i]).  One table of differences xs[i] - xs[j]
-    is built per point, and each ordered block of the :func:`_block_plan`
-    takes its Vandermonde product from it once; the sum still adds all
-    r! signed products."""
-    firsts, seconds, triples = plan
+    is built per point, each ordered block of the :func:`_block_plan`
+    takes its Vandermonde product from it once, and the weight product,
+    which depends only on a second block's set, is taken once per set;
+    the sum still adds all r! signed products."""
+    firsts, seconds, set_of, sets, triples = plan
     diffs = [[x - y for y in xs] for x in xs]
     va = [block_vandermonde(diffs, a) for a in firsts]
-    vb = [block_vandermonde(diffs, b) * prod(weights[i] for i in b) for b in seconds]
+    ws = [prod([weights[i] for i in s]) for s in sets]
+    vb = [block_vandermonde(diffs, b) * ws[s] for b, s in zip(seconds, set_of)]
     return sum(sign * va[a] * vb[b] for sign, a, b in triples)
 
 

@@ -1,9 +1,12 @@
+import random
 from fractions import Fraction
+from math import comb, prod
 
 import pytest
 
 from plucker.chow import BundleModel, formal_segre, point, projective_space
 from plucker.degree import DegreeResult, fiber_degree_hook, plucker_degree
+from plucker.exact import exponent_vectors
 from plucker.pushforward import DISPLAYED, PROOF
 
 
@@ -28,6 +31,37 @@ class TestClassicalDegrees:
         E = BundleModel.from_chern_roots(projective_space(1), [1, 1])
         result = plucker_degree(E, 1)
         assert result.degree == 2
+
+
+def _complete_symmetric(n, values):
+    """h_n(values): the sum of every monomial of degree n in the values."""
+    return sum(prod(v ** e for v, e in zip(values, exps))
+               for exps in exponent_vectors(len(values), max_total=n) if sum(exps) == n)
+
+
+class TestClassicalClosedForms:
+    """Degrees against closed forms that use no push-forward route."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
+    def test_twisted_trivial_bundle(self, n, r):
+        # O(a)^r over P^n: the Grassmann bundle is P^n x G(d, r) under
+        # O(da) x O_G(1), of degree C(n + d(r-d), n) (da)^n deg G(d, r)
+        base = projective_space(n)
+        for a in (1, 2, 3):
+            E = BundleModel.from_chern_roots(base, [a] * r)
+            for d in range(1, r + 1):
+                want = comb(n + d * (r - d), n) * (d * a) ** n * fiber_degree_hook(r, d)
+                assert plucker_degree(E, d).degree == want, (a, d)
+
+    def test_projective_bundle_is_complete_symmetric(self):
+        # at d = 1 the degree of P(O(a_1) + ... + O(a_r)) is h_n(a)
+        rng = random.Random(2806)
+        for _ in range(200):
+            n, r = rng.randint(1, 4), rng.randint(1, 5)
+            roots = [rng.randint(-2, 4) for _ in range(r)]
+            E = BundleModel.from_chern_roots(projective_space(n), roots)
+            assert plucker_degree(E, 1).degree == _complete_symmetric(n, roots), (n, roots)
 
 
 class TestHookOracle:

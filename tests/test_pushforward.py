@@ -3,7 +3,7 @@ import inspect
 import random
 import re
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -33,6 +33,7 @@ from plucker.pushforward import (
     phi,
     phi_eval_monomial,
 )
+from plucker.symfunc import segre_product
 
 
 @pytest.fixture
@@ -159,6 +160,131 @@ class TestPhiRowTable:
             total = phi(LaurentPoly(2, {exps: coeff}), 2) + total
         assert phi(f, 2) == total
         assert isinstance(phi(f, 2), GradedElement)
+
+
+def _int_det_before(rows):
+    """The Bareiss loop phi used before its pivot row was bound once."""
+    n, sign, prev = len(rows), 1, 1
+    for k in range(n - 1):
+        if not rows[k][k]:
+            swap = next((i for i in range(k + 1, n) if rows[i][k]), None)
+            if swap is None:
+                return 0
+            rows[k], rows[swap] = rows[swap], rows[k]
+            sign = -sign
+        pivot, pivot_row = rows[k][k], rows[k]
+        for row in rows[k + 1:]:
+            lead = row[k]
+            for j in range(k + 1, n):
+                row[j] = (row[j] * pivot - lead * pivot_row[j]) // prev
+        prev = pivot
+    return sign * rows[-1][-1]
+
+
+def _phi_before(f, nvars):
+    """phi as it read before every coefficient shared one lcm: int and
+    Fraction terms summed over one denominator, and each base-ring
+    coefficient added as coeff * Fraction(det, prod a_i!) on its own."""
+    total = Fraction(0)
+    num_sum, den_sum = 0, 1
+    for exps, coeff in f.terms.items():
+        tops = [e + nvars - 1 for e in exps]
+        if min(tops) >= 0:
+            num = _int_det_before([list(pushforward._falling_row(a, nvars)) for a in tops])
+            if not num:
+                continue
+            den = prod(map(factorial, tops))
+            if isinstance(coeff, (int, Fraction)):
+                num, den = num * coeff.numerator, den * coeff.denominator
+                common = lcm(den_sum, den)
+                num_sum = num_sum * (common // den_sum) + num * (common // den)
+                den_sum = common
+            else:
+                total = total + coeff * Fraction(num, den)
+    return total + Fraction(num_sum, den_sum) if num_sum else total
+
+
+def _rational_segre_bundle():
+    base = projective_space(3)
+    h = base.hyperplane()
+    return BundleModel.from_segre(
+        base, 3, [base.one(), h * Fraction(1, 2), h ** 2 * Fraction(-2, 3), h ** 3 * Fraction(5, 7)])
+
+
+# bundles whose Segre classes give the base-ring coefficients
+COEFFICIENT_BUNDLES = {
+    "formal": lambda: BundleModel.formal(formal_segre(3), 3),
+    "split": lambda: BundleModel.from_chern_roots(projective_space(3), [2, -1, 1]),
+    "rational-segre": _rational_segre_bundle,
+}
+
+
+class TestPhiAgainstBefore:
+    """phi against the version that summed base-ring coefficients one
+    term at a time: the same value and the same result type."""
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_value_and_type(self, data):
+        d = data.draw(st.integers(1, 4))
+        bundle = COEFFICIENT_BUNDLES[data.draw(st.sampled_from(sorted(COEFFICIENT_BUNDLES)))]()
+        kinds = data.draw(st.sampled_from([["int"], ["fraction"], ["graded"],
+                                           ["int", "fraction", "graded"]]))
+        terms = {}
+        for _ in range(data.draw(st.integers(0, 6))):
+            exps = tuple(data.draw(st.integers(-3, 6)) for _ in range(d))
+            kind = data.draw(st.sampled_from(kinds))
+            coeff = data.draw(st.integers(-6, 6))
+            if kind == "fraction":
+                coeff = Fraction(coeff, data.draw(st.integers(1, 9)))
+            elif kind == "graded":
+                coeff = bundle.base.scalar(Fraction(coeff, data.draw(st.integers(1, 5))))
+                for _ in range(data.draw(st.integers(1, 3))):
+                    m = data.draw(st.integers(1, bundle.base.n))
+                    coeff = coeff + bundle.segre_class(m) * Fraction(
+                        data.draw(st.integers(-4, 4)), data.draw(st.integers(1, 6)))
+            terms[exps] = coeff
+        f = LaurentPoly(d, terms)
+        got, want = phi(f, d), _phi_before(f, d)
+        assert got == want
+        assert isinstance(got, GradedElement) == isinstance(want, GradedElement)
+        if not isinstance(got, GradedElement):
+            assert type(got) is Fraction
+
+    def test_constterm_segre_table(self):
+        for bundle in (factory() for factory in COEFFICIENT_BUNDLES.values()):
+            for d in (1, 2, 3):
+                f = segre_product(bundle, [bundle.rank - d - (d - 1 - i) for i in range(d)])
+                got = phi(f, d)
+                assert type(got) is GradedElement and got == _phi_before(f, d)
+
+    def test_zero_vandermonde_gives_fraction_zero(self):
+        for k in [(0, 0), (3, 3), (2, 2, 0), (5, 1, 5), (4, 4, 4, 4), (1, 0, 2, 1)]:
+            value = phi_eval_monomial(k)
+            assert type(value) is Fraction and value == 0, k
+            assert phi(LaurentPoly.monomial(len(k), k), len(k)) == value
+
+    def test_phi_reads_no_closed_form(self, monkeypatch):
+        ks = [(0,), (4, 1), (2, 2), (5, 3, 0), (1, 6, 2, 0)]
+        want = [phi_eval_monomial(k) for k in ks]
+
+        def refuse(*args):
+            raise AssertionError("phi read the closed form")
+
+        monkeypatch.setattr(pushforward, "vandermonde_at", refuse)
+        monkeypatch.setattr(pushforward, "phi_eval_monomial", refuse)
+        assert [phi(LaurentPoly.monomial(len(k), k), len(k)) for k in ks] == want
+
+    def test_coefficient_outside_the_base_ring_refused(self):
+        f = LaurentPoly(1, {(2,): LaurentPoly.constant(1, 3)})
+        with pytest.raises(TypeError, match="not a scalar or a base-ring element"):
+            phi(f, 1)
+
+    @pytest.mark.parametrize("f", [LaurentPoly.constant(0, 5), LaurentPoly.zero(0)],
+                             ids=["constant", "zero"])
+    def test_no_variables_refused(self, f):
+        with pytest.raises(ValueError, match="need at least one variable"):
+            phi(f, 0)
 
 
 class TestIntDet:

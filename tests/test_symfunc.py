@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import permutations
-from math import factorial
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -339,6 +339,16 @@ def _fraction_sample_point(rng, r, d, height, clash):
             return xs, ys
 
 
+def _per_ordering_block_sum(xs, plan, weights):
+    """The signed block sum as it read before the plan held sets: the
+    weight product taken once per ordered second block."""
+    firsts, seconds, _, _, triples = plan
+    diffs = [[x - y for y in xs] for x in xs]
+    va = [block_vandermonde(diffs, a) for a in firsts]
+    vb = [block_vandermonde(diffs, b) * prod(weights[i] for i in b) for b in seconds]
+    return sum(sign * va[a] * vb[b] for sign, a, b in triples)
+
+
 CAUCHY_SHAPES = [(2, 1), (3, 1), (3, 3), (4, 2), (5, 2), (5, 3)]
 CAUCHY_FORMS = [
     (_tau_clash, _tau_point_holds, _tau_form_sides),
@@ -386,13 +396,14 @@ class TestGeneralizedCauchy:
 
     @pytest.mark.parametrize("r,d", CAUCHY_SHAPES + [(6, 3), (1, 1)])
     def test_block_plan_has_every_signed_permutation(self, r, d):
-        firsts, seconds, triples = _block_plan(r, d)
+        firsts, seconds, set_of, sets, triples = _block_plan(r, d)
         assert len(triples) == factorial(r)
         assert len(firsts) == factorial(r) // factorial(r - d)
         assert len(seconds) == factorial(r) // factorial(d)
         perms = [firsts[a] + seconds[b] for _, a, b in triples]
         assert sorted(perms) == sorted(permutations(range(r)))
         assert all(sign == perm_sign(p) for (sign, _, _), p in zip(triples, perms))
+        assert all(sets[i] == tuple(sorted(block)) for block, i in zip(seconds, set_of))
 
     @pytest.mark.parametrize("r,d", CAUCHY_SHAPES)
     @pytest.mark.parametrize("form", SAMPLER_FORMS, ids=["tau", "t"])
@@ -413,9 +424,43 @@ class TestGeneralizedCauchy:
     def test_block_vandermonde_matches_vandermonde_at(self, r, d):
         xs = random.Random(10 * r + d).sample(range(-50, 50), r)
         diffs = [[x - y for y in xs] for x in xs]
-        firsts, seconds, _ = _block_plan(r, d)
+        firsts, seconds, _, _, _ = _block_plan(r, d)
         for block in firsts + seconds:
             assert block_vandermonde(diffs, block) == vandermonde_at([xs[i] for i in block])
+
+    @pytest.mark.parametrize("r,d", CAUCHY_SHAPES + [(6, 3), (1, 1)])
+    @pytest.mark.parametrize("form", CAUCHY_FORMS, ids=["tau", "t"])
+    def test_weight_per_set_matches_weight_per_ordering(self, monkeypatch, form, r, d):
+        # every call a form makes at a drawn point gives the sum of the
+        # per-ordering reference
+        clash, holds, _ = form
+        seen = []
+
+        def compare(xs, plan, weights):
+            got = block_sum(xs, plan, weights)
+            assert got == _per_ordering_block_sum(xs, plan, weights)
+            seen.append(got)
+            return got
+
+        block_sum = symfunc._signed_block_sum
+        monkeypatch.setattr(symfunc, "_signed_block_sum", compare)
+        rng = random.Random(1000 * r + d)
+        plan = _block_plan(r, d)
+        right = factorial(d) * factorial(r - d)
+        for _ in range(5):
+            xs, ys = _sample_point(rng, r, d, 20, clash)
+            assert holds(xs, ys, plan, right)
+        assert len(seen) == 5
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_weight_per_set_on_drawn_ints(self, data):
+        r, d = data.draw(st.sampled_from(CAUCHY_SHAPES + [(6, 3), (1, 1)]))
+        xs = data.draw(st.lists(st.integers(-10**6, 10**6), min_size=r, max_size=r, unique=True))
+        weights = data.draw(st.lists(st.integers(-10**9, 10**9), min_size=r, max_size=r))
+        plan = _block_plan(r, d)
+        assert symfunc._signed_block_sum(xs, plan, weights) == _per_ordering_block_sum(
+            xs, plan, weights)
 
     def test_check_forms_no_fraction(self, monkeypatch):
         def refuse(*args):
