@@ -19,10 +19,11 @@ term maps.  Nothing in this package rounds or divides a polynomial.
 
 Every Vandermonde and alternant in the package is computed here, once:
 :func:`vandermonde_at` is the product prod_{i<j} (v_i - v_j) at given
-values, :func:`block_vandermonde` the same product read off a table of
-differences, :func:`alternant` the polynomial det[t_i^(p_j)] built term by
-term, :func:`vandermonde` its cached staircase case, and :func:`det` the
-one division-free determinant over a commutative ring.  Only
+values, :func:`block_vandermonde` the same product for each of many
+blocks of one set of values, read off one flat table of their
+differences, :func:`alternant` the polynomial det[t_i^(p_j)] built term
+by term, :func:`vandermonde` its cached staircase case, and :func:`det`
+the one division-free determinant over a commutative ring.  Only
 ``pushforward.phi`` keeps its own integer determinant, so that the
 constant-term route never evaluates the product formula it is checked
 against.
@@ -393,11 +394,15 @@ def vandermonde_at(values):
     return prod(a - b for a, b in combinations(values, 2))
 
 
-def block_vandermonde(diffs, block):
-    """:func:`vandermonde_at` of the values v_i, i in ``block`` in its
-    given order, read off a table of differences diffs[i][j] = v_i - v_j
-    as a product of its entries; 1 for fewer than two indices."""
-    return prod([diffs[i][j] for i, j in combinations(block, 2)])
+def block_vandermonde(flat, cells):
+    """:func:`vandermonde_at` of the values v_i, i in a block in its
+    given order, for each block of ``cells``: a block is given as the
+    cells i*r + j of its pairs (i, j) in ``combinations(block, 2)``, and
+    its product is read off the flat table of differences
+    flat[i*r + j] = v_i - v_j of r values; 1 for fewer than two indices.
+    One product per block, in the order of ``cells``."""
+    get = flat.__getitem__
+    return [prod(map(get, block)) for block in cells]
 
 
 def alternant(powers) -> LaurentPoly:

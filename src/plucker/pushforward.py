@@ -31,8 +31,8 @@ from functools import cache
 from math import factorial, lcm, perm, prod
 
 from .chow import GradedElement, _monomial, tower_pushforward
-from .exact import (LaurentPoly, _corank, const_of_product, det, exponent_vectors,
-                    inv_factorial, vandermonde, vandermonde_at)
+from .exact import (LaurentPoly, _corank, _refuse_non_int, const_of_product, det,
+                    exponent_vectors, inv_factorial, vandermonde, vandermonde_at)
 from .symfunc import partitions_up_to, schur_delta, segre_det, segre_product, syt_count, weight
 
 _ZERO = Fraction(0)
@@ -49,7 +49,9 @@ def phi(f: LaurentPoly, nvars: int):
     where 1/m! = 0 for m < 0.  Row i times a_i! is the integer falling
     factorials a_i!/(a_i - j)!, read from :func:`_falling_row`, so t^e
     adds its coefficient times the determinant :func:`_int_det` of those
-    over prod a_i!.  Every coefficient, an int, a ``Fraction`` or a
+    over prod a_i!.  One pass over e builds the rows and that product,
+    and stops at the first a_i < 0, whose row makes the determinant
+    zero.  Every coefficient, an int, a ``Fraction`` or a
     base-ring :class:`GradedElement`, is summed as int numerators over
     one lcm of all the denominators (one numerator per base monomial),
     and one ``Fraction``, or one ``GradedElement`` when some kept term
@@ -59,14 +61,20 @@ def phi(f: LaurentPoly, nvars: int):
     if f.nvars != nvars:
         raise ValueError("variable count mismatch")
     kept, model = [], None  # (base monomial or None, numerator, denominator)
+    shift = nvars - 1
     for exps, coeff in f.terms.items():
-        tops = [e + nvars - 1 for e in exps]
-        if min(tops) < 0:  # row i of the determinant is zero
+        rows, den = [], 1
+        for e in exps:
+            a = e + shift
+            if a < 0:  # this row of the determinant is zero
+                break
+            rows.append(list(_falling_row(a, nvars)))
+            den *= factorial(a)
+        if len(rows) < nvars:
             continue
-        num = _int_det([list(_falling_row(a, nvars)) for a in tops])
+        num = _int_det(rows)
         if not num:
             continue
-        den = prod(map(factorial, tops))
         if isinstance(coeff, (int, Fraction)):
             kept.append((None, num * coeff.numerator, den * coeff.denominator))
         elif isinstance(coeff, GradedElement):
@@ -129,22 +137,28 @@ def _int_det(rows) -> int:
 def phi_eval_monomial(k) -> Fraction:
     """Closed form of phi on the monomial prod t_i^{k_i}:
     (-1)^(d(d-1)/2) * prod_{i<j}(k_i - k_j) / prod (k_i + d - 1)!,
-    0 on repeated exponents before any factorial is formed."""
+    0 on repeated exponents before any factorial is formed.  An exponent
+    that is not an int raises ``TypeError``, a negative one
+    ``ValueError``."""
     k = tuple(k)
-    d = len(k)
-    if any(x < 0 for x in k):
+    _refuse_non_int("exponent", k)
+    if min(k, default=0) < 0:
         raise ValueError("exponents must be nonnegative")
     numerator = vandermonde_at(k)
     if not numerator:
         return _ZERO
-    sign = -1 if (d * (d - 1) // 2) % 2 else 1
-    return Fraction(sign * numerator, prod(factorial(x + d - 1) for x in k))
+    d = len(k)
+    if (d * (d - 1) // 2) % 2:
+        numerator = -numerator
+    return Fraction(numerator, prod([factorial(x + d - 1) for x in k]))
 
 
 def factorial_det_check(x) -> bool:
     """Check det[1/(x_i + j)!] = prod_{i<j}(x_i - x_j) / prod (x_i + d-1)!
-    exactly, for nonnegative integers x_i."""
+    exactly, for nonnegative integers x_i; an entry that is not an int
+    raises ``TypeError``."""
     x = tuple(x)
+    _refuse_non_int("entry", x)
     d = len(x)
     if any(v < 0 for v in x):
         raise ValueError("entries must be nonnegative")
@@ -184,10 +198,12 @@ def closed_term_coefficient(k, r: int, denominator: str = PROOF) -> Fraction:
     (r + k_i - i)!.  The two differ by one inside each factorial and only
     the former reproduces the oracle and the classical degrees: the test
     suite demonstrates the failure of the latter on concrete degrees.
+    An exponent that is not an int raises ``TypeError``.
     """
     if denominator not in (PROOF, DISPLAYED):
         raise ValueError(f"unknown denominator variant {denominator!r}")
     k = tuple(k)
+    _refuse_non_int("exponent", k)
     if len(k) > r or any(ki < 0 for ki in k):
         raise ValueError(f"need at most r={r} nonnegative exponents, got k={k}")
     shift = 1 if denominator == PROOF else 0

@@ -18,12 +18,13 @@ comparison, with one table of differences per point.
 from __future__ import annotations
 
 import random
+from collections import namedtuple
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 from math import factorial, gcd, lcm, prod
 
-from .exact import (LaurentPoly, _corank, _tadd, block_vandermonde, det, exact_str,
-                    exponent_vectors, perm_sign, vandermonde_at)
+from .exact import (LaurentPoly, _corank, _refuse_non_int, _tadd, block_vandermonde, det,
+                    exact_str, exponent_vectors, perm_sign, vandermonde_at)
 
 # random rational points of gen_cauchy_check have numerators in
 # [-SAMPLE_HEIGHT, SAMPLE_HEIGHT] and denominators in [1, SAMPLE_HEIGHT]
@@ -229,12 +230,17 @@ def _to_integers(values):
     return [num * (common // den) for num, den in values], common
 
 
+_BlockPlan = namedtuple(
+    "_BlockPlan", "firsts seconds first_cells second_cells set_of sets triples")
+
+
 def _block_plan(r, d):
     """The r! permutations of r points, split into a first block of d and
-    a second of r - d: the distinct ordered first blocks, the distinct
-    ordered second blocks, the index of each second block's set, the
-    sorted sets, and one (sign, first index, second index) triple per
-    permutation."""
+    a second of r - d: the distinct ordered first blocks and the distinct
+    ordered second blocks, each block again as its cells i*r + j, one per
+    pair (i, j) in ``combinations(block, 2)``, of a flat r x r table; the
+    index of each second block's set; the sorted sets; and one
+    (sign, first index, second index) triple per permutation."""
     firsts, seconds, triples = {}, {}, []
     for perm in permutations(range(r)):
         a = firsts.setdefault(perm[:d], len(firsts))
@@ -242,23 +248,29 @@ def _block_plan(r, d):
         triples.append((perm_sign(perm), a, b))
     sets = {}
     set_of = tuple(sets.setdefault(tuple(sorted(b)), len(sets)) for b in seconds)
-    return tuple(firsts), tuple(seconds), set_of, tuple(sets), tuple(triples)
+
+    def cells(blocks):
+        return tuple(tuple(i * r + j for i, j in combinations(block, 2)) for block in blocks)
+
+    return _BlockPlan(tuple(firsts), tuple(seconds), cells(firsts), cells(seconds),
+                      set_of, tuple(sets), tuple(triples))
 
 
 def _signed_block_sum(xs, plan, weights):
     """Sum over permutations of sgn * V(a) V(b) * prod_{x in b} w(x),
     where a and b are the first d and the last r-d permuted points and
-    ``weights[i]`` is w(xs[i]).  One table of differences xs[i] - xs[j]
-    is built per point, each ordered block of the :func:`_block_plan`
-    takes its Vandermonde product from it once, and the weight product,
-    which depends only on a second block's set, is taken once per set;
-    the sum still adds all r! signed products."""
-    firsts, seconds, set_of, sets, triples = plan
-    diffs = [[x - y for y in xs] for x in xs]
-    va = [block_vandermonde(diffs, a) for a in firsts]
-    ws = [prod([weights[i] for i in s]) for s in sets]
-    vb = [block_vandermonde(diffs, b) * ws[s] for b, s in zip(seconds, set_of)]
-    return sum(sign * va[a] * vb[b] for sign, a, b in triples)
+    ``weights[i]`` is w(xs[i]).  One flat table of differences
+    xs[i] - xs[j], at cell i*r + j, is built per point; each side's
+    ordered blocks take their Vandermonde products from it in one
+    :func:`block_vandermonde` call, through the cells of the
+    :func:`_block_plan`, and the weight product, which depends only on a
+    second block's set, is taken once per set; the sum still adds all r!
+    signed products."""
+    flat = [x - y for x in xs for y in xs]
+    va = block_vandermonde(flat, plan.first_cells)
+    ws = [prod([weights[i] for i in s]) for s in plan.sets]
+    vb = [v * ws[s] for v, s in zip(block_vandermonde(flat, plan.second_cells), plan.set_of)]
+    return sum(sign * va[a] * vb[b] for sign, a, b in plan.triples)
 
 
 def _tau_point_holds(xs, taus, plan, scale):
@@ -308,6 +320,7 @@ def gen_cauchy_witness(r: int, d: int, trials: int = 100, seed: int = 0):
     failed (``"tau"`` or ``"t"``) and the first failing point, written
     with exact numbers."""
     _corank(d, r)
+    _refuse_non_int("trials", (trials,))
     if trials < 1:
         raise ValueError(f"trials: need at least 1, got {trials}")
     if r > 6:

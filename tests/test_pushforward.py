@@ -16,7 +16,7 @@ from plucker.chow import (
     point,
     projective_space,
 )
-from plucker import pushforward
+from plucker import pushforward, verify
 from plucker.exact import LaurentPoly, det, exact_str, exponent_vectors, inv_factorial, vandermonde
 from plucker.pushforward import (
     DISPLAYED,
@@ -328,6 +328,78 @@ class TestFactorialDet:
         for _ in range(30):
             d = rng.randint(1, 4)
             assert factorial_det_check(tuple(rng.randint(0, 10) for _ in range(d)))
+
+
+NON_INTS = [True, 1.0, Fraction(1)]
+NON_INT_IDS = ["bool", "float", "Fraction"]
+
+
+class TestNonIntExponentsRefused:
+    """An exponent that is not an int raises ``TypeError`` naming it, the
+    rule of a flag-ring or base monomial: a bool is not read as 0 or 1,
+    and a float or a ``Fraction`` does not reach ``math.factorial``."""
+
+    @pytest.mark.parametrize("bad", NON_INTS, ids=NON_INT_IDS)
+    def test_phi_eval_monomial(self, bad):
+        with pytest.raises(TypeError, match=re.escape(f"exponent: {bad!r} is not an int")):
+            phi_eval_monomial((bad, 0))
+
+    @pytest.mark.parametrize("bad", NON_INTS, ids=NON_INT_IDS)
+    def test_factorial_det_check(self, bad):
+        with pytest.raises(TypeError, match=re.escape(f"entry: {bad!r} is not an int")):
+            factorial_det_check((bad, False))
+
+    @pytest.mark.parametrize("bad", NON_INTS, ids=NON_INT_IDS)
+    def test_closed_term_coefficient(self, bad):
+        with pytest.raises(TypeError, match=re.escape(f"exponent: {bad!r} is not an int")):
+            closed_term_coefficient((bad, 0), 3)
+
+
+class TestPhiSuiteGrid:
+    """The phi suite's closed-form grid builds its monomials itself; each
+    still goes through the public ``phi`` and is compared with the closed
+    form."""
+
+    GRID = [(d, k) for d in range(1, verify.PHI_MAX_D + 1)
+            for k in exponent_vectors(d, max_entry=verify.PHI_MAX_POWER)]
+
+    def test_every_grid_monomial_goes_through_phi(self, monkeypatch):
+        calls, closed = [], []
+
+        def counting_phi(f, nvars):
+            calls.append((f, nvars))
+            return phi(f, nvars)
+
+        def counting_closed(k):
+            closed.append(k)
+            return phi_eval_monomial(k)
+
+        monkeypatch.setattr(verify, "phi", counting_phi)
+        monkeypatch.setattr(verify, "phi_eval_monomial", counting_closed)
+        assert all(res.ok for res in verify.run_phi_suite(seed=7))
+        assert len(self.GRID) == 7380
+        assert closed == [k for _, k in self.GRID]
+        # the grid's calls come first, one per monomial in grid order,
+        # and the random cases follow
+        assert len(calls) > len(self.GRID)
+        for (f, nvars), (d, k) in zip(calls, self.GRID):
+            assert nvars == d and type(f) is LaurentPoly
+            assert f == LaurentPoly.monomial(d, k) and f.nvars == d
+            assert [type(e) for e in k] == [int] * d and type(f.terms[k]) is int
+
+    @pytest.mark.parametrize("side", ["phi", "phi_eval_monomial"])
+    @pytest.mark.parametrize("k", [(0,), (3, 1), (8, 8, 8, 8)])
+    def test_grid_fails_where_phi_and_closed_form_differ(self, monkeypatch, side, k):
+        wrapped = getattr(verify, side)
+
+        def off_by_one(*args):
+            value = wrapped(*args)
+            key = args[0] if side == "phi_eval_monomial" else min(args[0].terms)
+            return value + 1 if key == k else value
+
+        monkeypatch.setattr(verify, side, off_by_one)
+        grid = verify.run_phi_suite(seed=7)[0]
+        assert not grid.ok and grid.detail == f"k={k}"
 
 
 class TestMonomialPushforward:

@@ -1,6 +1,7 @@
 import random
+import re
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 from math import factorial, prod
 
 import pytest
@@ -341,11 +342,11 @@ def _fraction_sample_point(rng, r, d, height, clash):
 
 def _per_ordering_block_sum(xs, plan, weights):
     """The signed block sum as it read before the plan held sets: the
-    weight product taken once per ordered second block."""
-    firsts, seconds, _, _, triples = plan
-    diffs = [[x - y for y in xs] for x in xs]
-    va = [block_vandermonde(diffs, a) for a in firsts]
-    vb = [block_vandermonde(diffs, b) * prod(weights[i] for i in b) for b in seconds]
+    weight product taken once per ordered second block, and each ordered
+    block's Vandermonde taken from its values."""
+    firsts, seconds, triples = plan.firsts, plan.seconds, plan.triples
+    va = [vandermonde_at([xs[i] for i in a]) for a in firsts]
+    vb = [vandermonde_at([xs[i] for i in b]) * prod(weights[i] for i in b) for b in seconds]
     return sum(sign * va[a] * vb[b] for sign, a, b in triples)
 
 
@@ -396,7 +397,9 @@ class TestGeneralizedCauchy:
 
     @pytest.mark.parametrize("r,d", CAUCHY_SHAPES + [(6, 3), (1, 1)])
     def test_block_plan_has_every_signed_permutation(self, r, d):
-        firsts, seconds, set_of, sets, triples = _block_plan(r, d)
+        plan = _block_plan(r, d)
+        firsts, seconds, set_of, sets, triples = (
+            plan.firsts, plan.seconds, plan.set_of, plan.sets, plan.triples)
         assert len(triples) == factorial(r)
         assert len(firsts) == factorial(r) // factorial(r - d)
         assert len(seconds) == factorial(r) // factorial(d)
@@ -423,10 +426,24 @@ class TestGeneralizedCauchy:
     @pytest.mark.parametrize("r,d", CAUCHY_SHAPES + [(6, 3), (1, 1)])
     def test_block_vandermonde_matches_vandermonde_at(self, r, d):
         xs = random.Random(10 * r + d).sample(range(-50, 50), r)
-        diffs = [[x - y for y in xs] for x in xs]
-        firsts, seconds, _, _, _ = _block_plan(r, d)
-        for block in firsts + seconds:
-            assert block_vandermonde(diffs, block) == vandermonde_at([xs[i] for i in block])
+        flat = [x - y for x in xs for y in xs]
+        plan = _block_plan(r, d)
+        for blocks, cells in ((plan.firsts, plan.first_cells), (plan.seconds, plan.second_cells)):
+            for block, value in zip(blocks, block_vandermonde(flat, cells), strict=True):
+                assert value == vandermonde_at([xs[i] for i in block])
+
+    @pytest.mark.parametrize("r,d", CAUCHY_SHAPES + [(6, 3), (1, 1)])
+    def test_block_cells_are_the_block_pairs(self, r, d):
+        # each ordered block is held as the flat cells i*r + j of exactly
+        # its combinations(block, 2), and their product is its Vandermonde
+        xs = random.Random(20 * r + d).sample(range(-50, 50), r)
+        flat = [x - y for x in xs for y in xs]
+        plan = _block_plan(r, d)
+        for blocks, cells in ((plan.firsts, plan.first_cells), (plan.seconds, plan.second_cells)):
+            assert len(cells) == len(blocks)
+            for block, block_cells in zip(blocks, cells):
+                assert [divmod(c, r) for c in block_cells] == list(combinations(block, 2))
+                assert prod(flat[c] for c in block_cells) == vandermonde_at([xs[i] for i in block])
 
     @pytest.mark.parametrize("r,d", CAUCHY_SHAPES + [(6, 3), (1, 1)])
     @pytest.mark.parametrize("form", CAUCHY_FORMS, ids=["tau", "t"])
@@ -518,6 +535,12 @@ class TestGeneralizedCauchy:
         # with no point sampled the check would hold vacuously
         with pytest.raises(ValueError, match="trials"):
             gen_cauchy_check(3, 1, trials=trials)
+
+    @pytest.mark.parametrize("trials", [True, 2.0, Fraction(2)], ids=["bool", "float", "Fraction"])
+    def test_non_int_trials_refused(self, trials):
+        # True was read as one trial
+        with pytest.raises(TypeError, match=re.escape(f"trials: {trials!r} is not an int")):
+            gen_cauchy_check(3, 1, trials)
 
     def test_large_r_capped(self):
         with pytest.raises(ValueError, match="capped"):
