@@ -270,7 +270,9 @@ class GradedElement(SparseTerms):
     __rmul__ = __mul__
 
     def component(self, m: int) -> "GradedElement":
-        """The homogeneous degree-m part."""
+        """The homogeneous degree-m part; a degree that is not an int
+        raises ``TypeError``."""
+        _refuse_non_int("degree", (m,))
         deg = self.model._degree
         return self._new({e: c for e, c in self.terms.items() if deg(e) == m})
 
@@ -550,14 +552,15 @@ def tower_pushforward(bundle: BundleModel, p, exponential: bool = False) -> Grad
     s_{k-e}(K_L) = sum_m (-1)^m e_m(x_0..x_{L-1}) s_{k-e-m}(E) (Fulton,
     Intersection Theory, 3.1).  Each level maps the exponents of
     x_0..x_L to raw base term maps.  A level first sums its products per
-    (exponents of x_0..x_{L-1}, m), then multiplies by e_m(x_0..x_{L-1})
-    as the u^m coefficient of prod_{j<L} (1 + x_j u), one factor at a
-    time, so that terms meeting on one monomial are added once.  A term
-    whose x-degree plus base degree exceeds n plus the fibre dimensions
-    still to come can only land above degree n, so it is dropped.  The
-    exponential's weights 1/j! are carried as the ints J!/j! over one J!
-    per level and divided out once at the end.  No flag basis or normal
-    form is built.
+    (exponents of x_0..x_{L-1}, m), then multiplies each sum by
+    e_m(x_0..x_{L-1}) as its definition reads, adding it at x^v for every
+    0/1 vector v of weight m, and prunes the level once.  A term whose
+    x-degree plus base degree exceeds n plus the fibre dimensions still
+    to come can only land above degree n, so it is dropped.  Both modes
+    weight x_L^(k0 + j) by J!/j! over one J! per level: the plain mode's
+    weights are [1], so it takes j = 0 alone, and the exponential's
+    J! are divided out once at the end.  No flag basis or normal form is
+    built.
     """
     p = tuple(p)
     rank, d = bundle.rank, len(p)
@@ -587,13 +590,9 @@ def tower_pushforward(bundle: BundleModel, p, exponential: bool = False) -> Grad
             # x_L^k with k = k0 + j goes to s_i(K_L), i = k - e, and i may
             # not pass the degree left to the term's lower x's
             k0, rest = exps[L], exps[:L]
-            room = budget - sum(rest)
-            lo, hi = k0 - fibre, min(room, n + L)
-            if exponential:
-                lo = max(lo, 0)
-            elif lo <= hi:
-                hi = lo
-            if not 0 <= lo <= hi:
+            lo = max(k0 - fibre, 0)
+            hi = min(budget - sum(rest), n + L, k0 - fibre + len(weights) - 1)
+            if lo > hi:
                 continue
             got = factors.get((k0, hi))
             if got is None:
@@ -615,27 +614,26 @@ def tower_pushforward(bundle: BundleModel, p, exponential: bool = False) -> Grad
                     if target is None:
                         target = staged[(rest, m)] = {}
                     mul_into(target, coeff, factor)
-        # e_m(x_0..x_{L-1}) is the u^m coefficient of prod_{j<L} (1 + x_j u):
-        # an entry (x, q) still owes q factors x_j u, and one that owes more
-        # than the factors left, or lands above the degree left, is dropped.
-        # The sums are pruned in place and the level above is let go, so
-        # that one copy of the level's terms is alive during the expansion.
-        for key, terms in staged.items():
-            cap = budget - sum(key[0]) - key[1]
-            staged[key] = {e: c for e, c in terms.items() if c and (cap >= n or degree(e) <= cap)}
-        entries = {key: terms for key, terms in staged.items() if terms}
-        del staged, layer
-        for j in range(L):
-            left = L - 1 - j
-            out = {}
-            owned = set()
-            for (x, q), terms in entries.items():
-                if q <= left:
-                    _merge(out, owned, (x, q), terms)
-                if q:
-                    _merge(out, owned, (x[:j] + (x[j] + 1,) + x[j + 1 :], q - 1), terms)
-            entries = _pruned_map(out, owned)
-        layer = {x: terms for (x, _), terms in entries.items()}
+        # e_m(x_0..x_{L-1}) is the sum of x^v over the 0/1 vectors v of
+        # weight m; a term landing above the degree left is dropped first,
+        # and each staged sum is let go once it has landed
+        vectors = [[] for _ in range(L + 1)]
+        for v in exponent_vectors(L, max_entry=1):
+            vectors[sum(v)].append(v)
+        layer = {}
+        for rest, m in list(staged):
+            terms = staged.pop((rest, m))
+            cap = budget - sum(rest) - m
+            if cap < n:
+                terms = {e: c for e, c in terms.items() if degree(e) <= cap}
+            for v in vectors[m]:
+                x = _tadd(rest, v)
+                have = layer.get(x)
+                if have is None:
+                    layer[x] = dict(terms)
+                else:
+                    _add_terms(have, terms)
+        layer = {x: terms for x, raw in layer.items() if (terms := _pruned(raw))}
     terms = layer.get((), {})
     if denominator != 1:
         terms = {e: _reduced(Fraction(c, denominator)) for e, c in terms.items()}

@@ -166,12 +166,6 @@ def factorial_det_check(x) -> bool:
     return lhs == Fraction(vandermonde_at(x), prod(factorial(v + d - 1) for v in x))
 
 
-def _as_element(base, value) -> GradedElement:
-    if isinstance(value, GradedElement):
-        return value
-    return base.scalar(value)
-
-
 def monomial_pushforward_ct(p, bundle, d: int) -> GradedElement:
     """Push-forward of the flag-ring monomial prod x_i^{p_i} by the
     Laurent constant-term formula:
@@ -180,7 +174,7 @@ def monomial_pushforward_ct(p, bundle, d: int) -> GradedElement:
     _corank(d, r)
     p = _monomial("flag-ring", p, d)
     f = segre_product(bundle, [-p[i] + r - d for i in range(d)])
-    return _as_element(bundle.base, const_of_product(vandermonde(d), f))
+    return bundle.base.element(const_of_product(vandermonde(d), f))
 
 
 def monomial_pushforward_det(p, bundle, d: int) -> GradedElement:
@@ -265,7 +259,7 @@ def ch_pushforward_constterm(bundle, d: int) -> GradedElement:
     r = bundle.rank
     _corank(d, r)
     f = segre_product(bundle, [r - d - (d - 1 - i) for i in range(d)])
-    return _as_element(bundle.base, phi(f, d))
+    return bundle.base.element(phi(f, d))
 
 
 def ch_pushforward_oracle(bundle, d: int) -> GradedElement:

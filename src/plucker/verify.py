@@ -123,9 +123,10 @@ def _first_failure(key, failures) -> CaseResult:
 
 def check_fourway(bundle, d: int) -> CaseResult:
     """One agreement-grid case: the three formula routes and the oracle
-    must agree exactly, and in the flag ring theta powers must push
-    forward to zero below the relative dimension and to N! times the
-    closed route's homogeneous components from there on."""
+    must agree exactly, and in the flag ring theta^N must push forward to
+    N! times the closed route's component of degree N - rel, rel the
+    relative dimension: zero below rel.  A failure names the first
+    differing monomial and both coefficients."""
     key = f"agreement r={bundle.rank} d={d} {bundle.label}"
     series = {m: ch_pushforward(bundle, d, m) for m in ALL_METHODS}
     closed = series["closed"]
@@ -134,13 +135,13 @@ def check_fourway(bundle, d: int) -> CaseResult:
         return CaseResult(key, False, detail)
     ring = FlagRing(bundle, d)
     rel = d * (bundle.rank - d)
-    for N in range(rel):
-        if ring.pushforward_theta_power(N):
-            return CaseResult(key, False, f"theta^{N} pushed forward is nonzero")
-    for m in range(bundle.base.n + 1):
-        value = ring.pushforward_theta_power(rel + m)
-        if value != closed.component(m) * factorial(rel + m):
-            return CaseResult(key, False, f"theta^{rel + m} disagrees with N! * component")
+    for N in range(rel + bundle.base.n + 1):
+        detail = _first_difference(
+            f"theta^{N} pushed forward", ring.pushforward_theta_power(N),
+            f"{N}! * closed degree {N - rel}", closed.component(N - rel) * factorial(N),
+        )
+        if detail:
+            return CaseResult(key, False, detail)
     return CaseResult(key, True)
 
 

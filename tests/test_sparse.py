@@ -306,6 +306,14 @@ def test_graded_element_refuses_a_non_int_exponent(x):
     _refused(lambda: GradedElement(projective_space(2), {(x,): 1}), x)
 
 
+@pytest.mark.parametrize("x", NOT_INTS + ["1"])
+def test_graded_element_component_refuses_a_non_int_degree(x):
+    """``component(1.0)`` once returned the degree-1 part and
+    ``component("1")`` returned 0."""
+    h = projective_space(2).hyperplane()
+    _refused(lambda: (h + 1).component(x), x)
+
+
 @pytest.mark.parametrize("exps", [(1,), (1, 0, 0), (1, -1)])
 def test_graded_element_follows_the_monomial_rule(exps):
     with pytest.raises(ValueError, match=re.escape(f"base monomial {exps} needs 2 nonnegative")):

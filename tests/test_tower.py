@@ -106,6 +106,20 @@ def test_drawn_bundles(kind, data):
     assert tower_pushforward(bundle, p) == ring.from_terms({p: 1}).pushforward(), p
 
 
+@pytest.mark.parametrize("kind", DRAWN)
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_plain_mode_is_the_exponentials_first_term(kind, data):
+    """x^p is the N = 0 term of x^p exp(theta), and its push-forward the
+    exponential's component of degree |p| minus the fibre dimensions."""
+    bundle = DRAWN[kind](data)
+    d = data.draw(st.integers(min_value=1, max_value=bundle.rank), label="d")
+    p = tuple(data.draw(st.integers(0, bundle.rank + 2)) for _ in range(d))
+    fibres = sum(bundle.rank - 1 - l for l in range(d))
+    series = tower_pushforward(bundle, p, exponential=True)
+    assert tower_pushforward(bundle, p) == series.component(sum(p) - fibres), p
+
+
 def test_rational_coefficients_stay_exact():
     """Fraction Segre classes pass through the int weights: the tower's
     coefficients are ints where integral and reduced Fractions otherwise."""
